@@ -1,6 +1,7 @@
 #include "scada/core/analyzer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "scada/util/error.hpp"
@@ -61,11 +62,6 @@ ThreatVector extract_threat_vector(const ThreatEncoder& encoder, const smt::Sess
   return v;
 }
 
-ThreatVector ScadaAnalyzer::extract_threat(const ThreatEncoder& encoder,
-                                           const smt::Session& session) const {
-  return extract_threat_vector(encoder, session);
-}
-
 ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
                              const ResiliencySpec& spec, ThreatVector threat) {
   // Greedy shrink against the oracle: drop any failure whose removal still
@@ -100,11 +96,6 @@ ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
   return threat;
 }
 
-ThreatVector ScadaAnalyzer::minimize(Property property, const ResiliencySpec& spec,
-                                     ThreatVector threat) const {
-  return minimize_threat(oracle_, property, spec, std::move(threat));
-}
-
 smt::SessionOptions ScadaAnalyzer::session_options() const {
   smt::SessionOptions solver = options_.solver;
   if (options_.certify) solver.certify = true;
@@ -137,8 +128,8 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   out.solver_stats = session.stats();
   out.certified = check_certificate(session);
   if (out.result == SolveResult::Sat) {
-    ThreatVector v = extract_threat(encoder, session);
-    if (options_.minimize_threats) v = minimize(property, spec, v);
+    ThreatVector v = extract_threat_vector(encoder, session);
+    if (options_.minimize_threats) v = minimize_threat(oracle_, property, spec, std::move(v));
     out.threat = std::move(v);
   }
   return out;
@@ -163,9 +154,9 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
     // Unknown (an interrupt fired mid-enumeration) stops here and reports
     // the vectors found so far — the partial threat space a deadline allows.
     if (r != SolveResult::Sat) break;
-    ThreatVector v = extract_threat(encoder, session);
+    ThreatVector v = extract_threat_vector(encoder, session);
     if (minimal_only) {
-      v = minimize(property, spec, v);
+      v = minimize_threat(oracle_, property, spec, std::move(v));
       // Block v and all its supersets: at least one member must survive.
       std::vector<smt::Formula> block;
       for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
@@ -200,65 +191,98 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
 
 MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClass failure_class,
                                                   int spec_r) {
-  const int limit = [&] {
-    switch (failure_class) {
-      case FailureClass::IedOnly: return static_cast<int>(scenario_.ied_ids().size());
-      case FailureClass::RtuOnly: return static_cast<int>(scenario_.rtu_ids().size());
-      case FailureClass::Combined:
-        return static_cast<int>(scenario_.ied_ids().size() + scenario_.rtu_ids().size());
-    }
-    return 0;
-  }();
-
-  // Incremental search: the (expensive) ¬property encoding is built and
-  // asserted once; each budget is attached to a fresh selector variable and
-  // activated per solve() via assumptions, so solver state (and, on the
-  // CDCL backend, learned clauses) carries across probes.
+  // The (expensive) ¬property encoding is built and asserted once; solver
+  // state and, on the CDCL backend, learned clauses carry across probes.
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
   smt::Session session(builder, options_.solver);
   // Same cancellation wiring as verify()/enumerate_threats(): service
-  // deadlines and user cancels must be able to stop the k-sweep mid-probe.
+  // deadlines and user cancels must be able to stop the search mid-probe.
   session.set_interrupt(options_.interrupt);
+  session.assert_formula(builder.mk_not(encoder.property(property, spec_r)));
 
-  smt::Formula prop = builder.mk_false();
-  switch (property) {
-    case Property::Observability: prop = encoder.observability(); break;
-    case Property::SecuredObservability: prop = encoder.secured_observability(); break;
-    case Property::BadDataDetectability:
-      prop = encoder.bad_data_detectability(spec_r);
+  // Each probe asserts "guard_k -> at-most-k failures" and solves assuming
+  // guard_k; guards of earlier probes are no longer assumed, so their budgets
+  // stop constraining. Classes the budget pins (the other device type under
+  // per-type specs; links outside Combined) are asserted up, exactly as
+  // ThreatEncoder::failure_budget does.
+  std::vector<smt::Formula> leaves;
+  const auto fail_devices = [&](const std::vector<int>& ids) {
+    for (const int id : ids) leaves.push_back(builder.mk_not(encoder.node_var(id)));
+  };
+  const auto pin_devices = [&](const std::vector<int>& ids) {
+    for (const int id : ids) session.assert_formula(encoder.node_var(id));
+  };
+  switch (failure_class) {
+    case FailureClass::IedOnly:
+      fail_devices(scenario_.ied_ids());
+      pin_devices(scenario_.rtu_ids());
+      break;
+    case FailureClass::RtuOnly:
+      fail_devices(scenario_.rtu_ids());
+      pin_devices(scenario_.ied_ids());
+      break;
+    case FailureClass::Combined:
+      fail_devices(scenario_.ied_ids());
+      fail_devices(scenario_.rtu_ids());
       break;
   }
-  session.assert_formula(builder.mk_not(prop));
-
-  MaxResiliencyResult out;
-  for (int k = 0; k <= limit; ++k) {
-    const ResiliencySpec spec = [&] {
-      switch (failure_class) {
-        case FailureClass::IedOnly: return ResiliencySpec::per_type(k, 0, spec_r);
-        case FailureClass::RtuOnly: return ResiliencySpec::per_type(0, k, spec_r);
-        case FailureClass::Combined: return ResiliencySpec::total(k, spec_r);
+  // k ranges over the failable field devices; failable links widen the
+  // budget's leaves but not the range of k.
+  const int limit = static_cast<int>(leaves.size());
+  if (options_.encoder.links_can_fail) {
+    for (const auto& link : scenario_.topology().links()) {
+      if (!link.up) continue;
+      if (failure_class == FailureClass::Combined) {
+        leaves.push_back(builder.mk_not(encoder.link_var(link.id)));
+      } else {
+        session.assert_formula(encoder.link_var(link.id));
       }
-      throw ConfigError("unknown failure class");
-    }();
-    const smt::Formula selector = builder.mk_var("budget_sel_" + std::to_string(k));
-    session.assert_formula(builder.mk_implies(selector, encoder.failure_budget(spec)));
-    ++out.probes;
-    const SolveResult r = session.solve({selector});
-    if (r == SolveResult::Unknown) {
-      // Interrupt or solver budget cut the sweep short. Every probe below k
-      // was Unsat, so resiliency >= k-1 is proven; report that partial bound
-      // instead of throwing so deadlines degrade like every other op.
-      out.max_k = k - 1;
-      out.completed = false;
-      return out;
-    }
-    if (r == SolveResult::Sat) {
-      out.max_k = k - 1;
-      return out;
     }
   }
-  out.max_k = limit;  // resilient to every possible failure count
+
+  MaxResiliencyResult out;
+  // The search below never probes the same k twice.
+  const auto probe = [&](int k) {
+    ++out.probes;
+    if (static_cast<std::size_t>(k) >= leaves.size()) return session.solve();
+    const smt::Formula guard = builder.mk_var("mr_guard");
+    session.assert_formula(builder.mk_implies(
+        guard, builder.mk_at_most(leaves, static_cast<std::uint32_t>(k))));
+    return session.solve({guard});
+  };
+
+  // resilient(k) is monotone decreasing in k (a count <= k model is a
+  // count <= k+1 model), so any search over k finds the same boundary.
+  // Real systems sit at small max_k, where a plain bisection of [0, limit]
+  // opens with loosely-bounded midpoints — the most expensive budgets to
+  // encode and solve. Gallop from the low end instead (0, 1, 2, 4, ...) so
+  // the boundary is bracketed by tightly-bounded cheap probes, then bisect
+  // the remaining interval; the worst case stays O(log limit) probes.
+  int lo = 0;
+  int hi = limit;
+  int next = 0;
+  bool gallop = true;
+  while (lo <= hi) {
+    const int mid = gallop ? std::min(next, hi) : lo + (hi - lo) / 2;
+    switch (probe(mid)) {
+      case SolveResult::Unknown:
+        // Interrupt or solver budget: every k <= max_k so far was proven
+        // resilient, so report that partial bound instead of throwing —
+        // deadlines degrade like every other op.
+        out.completed = false;
+        return out;
+      case SolveResult::Unsat:
+        out.max_k = mid;
+        lo = mid + 1;
+        next = mid == 0 ? 1 : 2 * mid;
+        break;
+      case SolveResult::Sat:
+        hi = mid - 1;
+        gallop = false;
+        break;
+    }
+  }
   return out;
 }
 

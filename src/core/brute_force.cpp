@@ -74,26 +74,6 @@ bool BruteForceVerifier::violates(Property property, const ThreatVector& v, int 
   return !oracle_.holds(property, v.to_contingency(), r);
 }
 
-bool BruteForceVerifier::is_minimal_threat(Property property, const ThreatVector& v,
-                                           int r) const {
-  if (!violates(property, v, r)) return false;
-  // Failure is monotone: a violating proper subset exists iff some
-  // single-element removal still violates, so checking the |v| immediate
-  // subsets decides global minimality.
-  const auto reduced_still_violates = [&](std::vector<int> ThreatVector::* member) {
-    const auto& ids = v.*member;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ThreatVector candidate = v;
-      (candidate.*member).erase((candidate.*member).begin() + static_cast<std::ptrdiff_t>(i));
-      if (violates(property, candidate, r)) return true;
-    }
-    return false;
-  };
-  return !reduced_still_violates(&ThreatVector::failed_ieds) &&
-         !reduced_still_violates(&ThreatVector::failed_rtus) &&
-         !reduced_still_violates(&ThreatVector::failed_links);
-}
-
 VerificationResult BruteForceVerifier::verify(Property property,
                                               const ResiliencySpec& spec) const {
   util::WallTimer timer;

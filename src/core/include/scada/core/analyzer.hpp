@@ -6,7 +6,8 @@
 // enumerate_threats() — the full threat space via blocking constraints
 //                       (Fig. 7(b)'s metric).
 // max_resiliency()    — largest k for which the property is still resilient
-//                       (Fig. 7(a)'s metric).
+//                       (Fig. 7(a)'s metric), by a gallop-then-bisect search
+//                       on one incremental session.
 #pragma once
 
 #include <atomic>
@@ -60,11 +61,11 @@ struct MaxResiliencyResult {
   /// Largest budget k with a resilient (unsat) verdict; -1 if even k = 0
   /// fails (the property does not hold in the nominal configuration).
   int max_k = -1;
-  /// Number of verify() calls spent in the search.
+  /// Number of solve() probes spent in the search, all on one session.
   int probes = 0;
-  /// False when an interrupt (or solver budget) cut the sweep short before a
-  /// Sat verdict decided it; max_k is then a proven lower bound, not the
-  /// exact answer.
+  /// False when an interrupt (or solver budget) cut the search short before
+  /// it closed in on the boundary; max_k is then a proven lower bound, not
+  /// the exact answer.
   bool completed = true;
 };
 
@@ -88,8 +89,7 @@ struct AnalyzerOptions {
 };
 
 /// Reads the failure assignment of the last Sat model out of a session as a
-/// ThreatVector (id lists ascending). Shared by the serial analyzer and the
-/// per-worker enumeration loops of the parallel engine.
+/// ThreatVector (id lists ascending).
 [[nodiscard]] ThreatVector extract_threat_vector(const ThreatEncoder& encoder,
                                                  const smt::Session& session);
 
@@ -116,8 +116,11 @@ class ScadaAnalyzer {
                                                             std::size_t max_vectors = 1024,
                                                             bool minimal_only = true);
 
-  /// Largest k (for the failure class) with an unsat verdict, by upward
-  /// linear search from k = 0. For BadDataDetectability pass spec_r.
+  /// Largest k (for the failure class) with an unsat verdict. One session
+  /// carries the ¬property encoding; each probed k adds a guarded at-most-k
+  /// budget and is solved under its guard. The probes gallop up from k = 0
+  /// (0, 1, 2, 4, ...) until the first Sat, then bisect the bracket, so the
+  /// search takes O(log max_k) probes. For BadDataDetectability pass spec_r.
   [[nodiscard]] MaxResiliencyResult max_resiliency(Property property, FailureClass failure_class,
                                                    int spec_r = 1);
 
@@ -130,10 +133,6 @@ class ScadaAnalyzer {
   /// a certificate was available and accepted; throws ScadaError if one was
   /// available and rejected.
   bool check_certificate(const smt::Session& session) const;
-  [[nodiscard]] ThreatVector extract_threat(const ThreatEncoder& encoder,
-                                            const smt::Session& session) const;
-  [[nodiscard]] ThreatVector minimize(Property property, const ResiliencySpec& spec,
-                                      ThreatVector threat) const;
 
   const ScadaScenario& scenario_;
   AnalyzerOptions options_;

@@ -39,26 +39,22 @@ class BruteForceVerifier {
   [[nodiscard]] std::vector<ThreatVector> enumerate_threats(Property property,
                                                             const ResiliencySpec& spec) const;
 
-  // --- enumeration substrate (shared with the parallel engine) ---
+  // --- enumeration substrate ---
 
   /// The candidate pool the spec admits (links only under a combined budget).
   [[nodiscard]] std::vector<Candidate> candidate_pool(const ResiliencySpec& spec) const;
+  [[nodiscard]] bool within_budget(const ThreatVector& v, const ResiliencySpec& spec) const;
+  /// Does the contingency violate the property (oracle says it fails)?
+  [[nodiscard]] bool violates(Property property, const ThreatVector& v, int r) const;
+
+ private:
   /// Largest subset size worth enumerating for the spec over this pool.
   [[nodiscard]] std::size_t max_subset_size(const ResiliencySpec& spec,
                                             std::size_t pool_size) const;
   /// Materializes a pool-index subset as a ThreatVector (id lists ascending).
   [[nodiscard]] static ThreatVector subset_to_vector(std::span<const std::size_t> subset,
                                                      const std::vector<Candidate>& pool);
-  [[nodiscard]] bool within_budget(const ThreatVector& v, const ResiliencySpec& spec) const;
-  /// Does the contingency violate the property (oracle says it fails)?
-  [[nodiscard]] bool violates(Property property, const ThreatVector& v, int r) const;
-  /// Is `v` a violating vector none of whose single-element removals still
-  /// violates? By monotonicity of failure this is exactly global minimality.
-  [[nodiscard]] bool is_minimal_threat(Property property, const ThreatVector& v, int r) const;
 
-  [[nodiscard]] const ScenarioOracle& oracle() const noexcept { return oracle_; }
-
- private:
   const ScadaScenario& scenario_;
   EncoderOptions options_;
   ScenarioOracle oracle_;

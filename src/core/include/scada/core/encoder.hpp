@@ -61,11 +61,14 @@ class ThreatEncoder {
   [[nodiscard]] smt::Formula secured_observability();
   [[nodiscard]] smt::Formula bad_data_detectability(int r);
 
+  /// The formula of a property; r only matters for BadDataDetectability.
+  [[nodiscard]] smt::Formula property(Property p, int r);
+
   /// Failure budget of a specification (AtMost over failed devices/links).
   [[nodiscard]] smt::Formula failure_budget(const ResiliencySpec& spec);
 
   /// budget ∧ ¬property — sat models of this are threat vectors.
-  [[nodiscard]] smt::Formula threat(Property property, const ResiliencySpec& spec);
+  [[nodiscard]] smt::Formula threat(Property p, const ResiliencySpec& spec);
 
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
   [[nodiscard]] smt::FormulaBuilder& builder() noexcept { return builder_; }

@@ -12,10 +12,10 @@
 //                        full analyzer, block refuted subsets, repeat.
 // min_cost_placement() — same loop over measurement additions
 //                        (PlacementAdvisor candidates).
-// max_resiliency()     — the analyzer metric recomputed by a gallop-then-
-//                        bisect search over k on ONE incremental session
-//                        (guarded at-most-k budgets probed through
-//                        assumptions) instead of a per-k re-encoded instance.
+//
+// Maximum resiliency is ScadaAnalyzer::max_resiliency. Under a combined
+// budget it is the dual of the security index: index = max_k + 1 whenever
+// the property can be broken.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +104,6 @@ class Optimizer {
   [[nodiscard]] MinCostResult min_cost_placement(const powersys::BusSystem& grid,
                                                  Property property, const ResiliencySpec& spec,
                                                  const PlacementCostFn& cost = {});
-
-  /// Same contract as ScadaAnalyzer::max_resiliency (identical max_k and
-  /// partial-result semantics) but gallop-then-bisect searching k over one
-  /// incremental session with guarded cardinality bounds instead of
-  /// linearly re-encoding the instance per k.
-  [[nodiscard]] MaxResiliencyResult max_resiliency(Property property,
-                                                   FailureClass failure_class, int spec_r = 1);
 
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
 

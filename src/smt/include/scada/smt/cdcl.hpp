@@ -343,8 +343,8 @@ class CdclSolver {
   /// keep it alive) reads true, solve() aborts at the next conflict/decision
   /// boundary and returns Unknown. Solver state stays consistent — solve()
   /// may be called again after the flag clears. Thread-safe: the flag may be
-  /// flipped from any thread (the parallel engine's first-SAT-wins
-  /// cancellation). Pass nullptr to detach.
+  /// flipped from any thread (the portfolio's first-winner cancellation and
+  /// the service's deadline watchdog). Pass nullptr to detach.
   void set_interrupt(const std::atomic<bool>* flag) noexcept { interrupt_ = flag; }
 
   /// Streams the solver's derivations (learned clauses, database deletions,

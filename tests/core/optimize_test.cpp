@@ -1,8 +1,7 @@
 // core::Optimizer tests: the security index must equal the smallest budget
 // with a Sat (attackable) verdict from the plain analyzer, minimum-cost
-// hardening must beat (or tie) the greedy advisor, binary-search
-// max-resiliency must reproduce the linear analyzer sweep, and the CEGIS
-// placement loop must reach the requested resiliency.
+// hardening must beat (or tie) the greedy advisor, and the CEGIS placement
+// loop must reach the requested resiliency.
 #include "scada/core/optimize.hpp"
 
 #include <gtest/gtest.h>
@@ -145,25 +144,6 @@ TEST_P(OptimizerBothBackends, PlainObservabilityHardeningRejected) {
       ConfigError);
 }
 
-TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
-  for (const auto topology : {CaseStudyTopology::Fig3, CaseStudyTopology::Fig4}) {
-    const ScadaScenario s = make_case_study(topology);
-    ScadaAnalyzer analyzer(s, options().analyzer);
-    Optimizer optimizer(s, options());
-    for (const auto property : {Property::Observability, Property::SecuredObservability}) {
-      for (const auto cls :
-           {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
-        const MaxResiliencyResult linear = analyzer.max_resiliency(property, cls);
-        const MaxResiliencyResult binary = optimizer.max_resiliency(property, cls);
-        ASSERT_TRUE(linear.completed && binary.completed);
-        EXPECT_EQ(binary.max_k, linear.max_k)
-            << to_string(property) << "/" << to_string(cls) << " on "
-            << (topology == CaseStudyTopology::Fig3 ? "fig3" : "fig4");
-      }
-    }
-  }
-}
-
 TEST_P(OptimizerBothBackends, MinCostPlacementReachesTheSpec) {
   synth::SynthConfig config;
   config.buses = 14;
@@ -244,8 +224,9 @@ TEST(OptimizerTest, PresetInterruptDegradesGracefully) {
   EXPECT_FALSE(hardening.completed);
   EXPECT_FALSE(hardening.achievable);
 
-  const MaxResiliencyResult resiliency =
-      optimizer.max_resiliency(Property::Observability, FailureClass::Combined);
+  const MaxResiliencyResult resiliency = ScadaAnalyzer(s, options.analyzer)
+                                             .max_resiliency(Property::Observability,
+                                                             FailureClass::Combined);
   EXPECT_FALSE(resiliency.completed);
 }
 

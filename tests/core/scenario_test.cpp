@@ -67,9 +67,9 @@ TEST(ScenarioTest, MeasurementIndexOutOfRangeQueryThrows) {
 }
 
 TEST(ScenarioTest, DeviceIdListsAreSortedRegardlessOfDeclarationOrder) {
-  // Regression: BruteForceVerifier and the parallel engine binary-search and
-  // merge on ied_ids()/rtu_ids() being ascending; a scenario built from a
-  // shuffled device inventory must still expose sorted id lists.
+  // Regression: BruteForceVerifier and threat extraction rely on
+  // ied_ids()/rtu_ids() being ascending; a scenario built from a shuffled
+  // device inventory must still expose sorted id lists.
   std::vector<scadanet::Device> devices = {
       {.id = 7, .type = scadanet::DeviceType::Ied},
       {.id = 2, .type = scadanet::DeviceType::Ied},

@@ -20,15 +20,20 @@
 // diversify the search heuristics (aggressive rephasing + chronological
 // backtracking, and tiered-DB-only with rephasing off) so none of the modern
 // search features can silently flip a verdict or emit an uncheckable proof.
+// The enumeration configuration requires the serial SMT threat space to
+// equal the brute-force one, and the max-resiliency configuration requires
+// ScadaAnalyzer::max_resiliency to find the brute-force boundary for every
+// failure class on both backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/core/brute_force.hpp"
 #include "scada/core/optimize.hpp"
-#include "scada/core/parallel_analyzer.hpp"
 #include "scada/synth/generator.hpp"
 #include "scada/util/rng.hpp"
 
@@ -67,6 +72,13 @@ FuzzCase draw_case(util::Rng& rng) {
     c.spec = ResiliencySpec::per_type(k, static_cast<int>(rng.index(2)), r);
   }
   return c;
+}
+
+/// Canonical order for comparing threat sets: the (ieds, rtus, links) id
+/// lists lexicographically.
+bool threat_less(const ThreatVector& a, const ThreatVector& b) {
+  return std::tie(a.failed_ieds, a.failed_rtus, a.failed_links) <
+         std::tie(b.failed_ieds, b.failed_rtus, b.failed_links);
 }
 
 std::string describe(const FuzzCase& c) {
@@ -176,8 +188,8 @@ TEST(DifferentialFuzzTest, UnsatVerdictsCarryCheckedProofs) {
 
 TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
   // Deeper (and slower) check on fewer rounds: the full minimal-threat
-  // antichain must be identical across the SMT backends, the brute-force
-  // baseline, and the parallel engine.
+  // antichain must be identical across the SMT backends and the brute-force
+  // baseline.
   util::Rng rng(3);
   int nonempty = 0;
   for (int round = 0; round < 8; ++round) {
@@ -193,20 +205,14 @@ TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
     options.certify = true;
     ScadaAnalyzer serial(s, options);
     BruteForceVerifier brute(s, c.encoder);
-    ParallelOptions parallel_options;
-    parallel_options.analyzer = options;
-    parallel_options.threads = 2 + round % 3;
-    ParallelAnalyzer parallel(s, parallel_options);
 
     auto canon = [](std::vector<ThreatVector> v) {
-      std::sort(v.begin(), v.end(), ParallelAnalyzer::threat_vector_less);
+      std::sort(v.begin(), v.end(), threat_less);
       return v;
     };
     const auto smt_set = canon(serial.enumerate_threats(c.property, c.spec));
     const auto brute_set = canon(brute.enumerate_threats(c.property, c.spec));
-    const auto parallel_set = parallel.enumerate_threats(c.property, c.spec);
     EXPECT_EQ(smt_set, brute_set) << "SMT vs brute: " << describe(c);
-    EXPECT_EQ(parallel_set, smt_set) << "parallel vs serial: " << describe(c);
     if (!smt_set.empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, 0) << "fuzz corpus never produced a threat — weak test";
@@ -258,6 +264,68 @@ TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
     }
   }
   EXPECT_GT(attackable_rounds, 0) << "corpus never produced an attack — weak test";
+}
+
+TEST(DifferentialFuzzTest, MaxResiliencyMatchesTheBruteForceBoundary) {
+  // Fig. 7(a)'s metric against an independent oracle: max_resiliency must
+  // equal the largest k whose brute-force verdict for the class's spec is
+  // unsat, for every failure class, both backends and both observability
+  // properties. Half the rounds let links fail: under Combined that widens
+  // the budget's leaves beyond the devices the search ranges over, and the
+  // per-type classes must keep every link up.
+  util::Rng rng(0x7A);
+  int bisected = 0;
+  for (int round = 0; round < 12; ++round) {
+    synth::SynthConfig config;
+    config.buses = 5 + static_cast<int>(rng.index(4));  // 5..8 buses
+    config.measurement_fraction = 0.5 + 0.1 * static_cast<double>(rng.index(4));
+    config.hierarchy_level = 1 + static_cast<int>(rng.index(2));
+    config.seed = rng.next();
+    const ScadaScenario s = synth::generate_scenario(config);
+    const bool links = rng.chance(0.5);
+
+    for (const auto cls :
+         {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
+      EncoderOptions encoder;
+      encoder.links_can_fail = links;
+      const std::size_t devices = cls == FailureClass::IedOnly   ? s.ied_ids().size()
+                                  : cls == FailureClass::RtuOnly ? s.rtu_ids().size()
+                                                                 : s.ied_ids().size() +
+                                                                       s.rtu_ids().size();
+      const auto spec_for = [cls](int k) {
+        return cls == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0)
+               : cls == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k)
+                                              : ResiliencySpec::total(k);
+      };
+      BruteForceVerifier brute(s, encoder);
+      for (const auto property : {Property::Observability, Property::SecuredObservability}) {
+        // Failure is monotone in k, so the boundary sits just below the
+        // first attackable budget.
+        int expected = -1;
+        while (expected < static_cast<int>(devices) &&
+               brute.verify(property, spec_for(expected + 1)).result ==
+                   smt::SolveResult::Unsat) {
+          ++expected;
+        }
+        // From max_k = 2 on, the gallop overshoots and the bisection runs.
+        if (expected >= 2) ++bisected;
+        const std::string where = std::string(to_string(property)) + "/" + to_string(cls) +
+                                  " links=" + (encoder.links_can_fail ? "y" : "n") +
+                                  " buses=" + std::to_string(config.buses) +
+                                  " seed=" + std::to_string(config.seed);
+        for (const auto backend : {smt::Backend::Z3, smt::Backend::Cdcl}) {
+          AnalyzerOptions options;
+          options.encoder = encoder;
+          options.solver.backend = backend;
+          const MaxResiliencyResult got =
+              ScadaAnalyzer(s, options).max_resiliency(property, cls);
+          ASSERT_TRUE(got.completed) << smt::to_string(backend) << " " << where;
+          EXPECT_EQ(got.max_k, expected) << smt::to_string(backend) << " " << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(bisected, 0) << "corpus never reached the bisection phase — weak test";
 }
 
 TEST(DifferentialFuzzTest, BadDataDetectabilityVerdictsAgree) {
