@@ -38,7 +38,7 @@ void sequential_at_most(ClauseSink& sink, std::span<const Lit> x, std::uint32_t 
   std::vector<std::vector<Lit>> s(n - 1, std::vector<Lit>(k));
   for (std::size_t i = 0; i + 1 < n; ++i) {
     for (std::uint32_t j = 0; j < k; ++j) {
-      s[i][j] = pos(sink.fresh_var("seq_s" + std::to_string(i) + "_" + std::to_string(j)));
+      s[i][j] = pos(sink.fresh_var());
     }
   }
 
@@ -74,7 +74,7 @@ std::vector<Lit> totalizer_tree(ClauseSink& sink, std::span<const Lit> x, std::s
   const std::size_t m2 = right.size();
   std::vector<Lit> out(m1 + m2);
   for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = pos(sink.fresh_var("tot_o" + std::to_string(lo) + "_" + std::to_string(j)));
+    out[j] = pos(sink.fresh_var());
   }
 
   if (use == TotalizerUse::UpperBound) {

@@ -25,6 +25,7 @@ CdclSolver::CdclSolver(CdclConfig config)
   model_.push_back(false);
   frozen_.push_back(false);
   eliminated_.push_back(false);
+  fresh_.push_back(0);
   watches_.resize(2);  // codes 0,1 of the reserved var
   learned_limit_ = static_cast<double>(config_.learned_base);
 }
@@ -43,6 +44,7 @@ Var CdclSolver::new_var() {
   model_.push_back(false);
   frozen_.push_back(false);
   eliminated_.push_back(false);
+  fresh_.push_back(0);
   watches_.resize(watches_.size() + 2);
   heap_insert(v);
   return v;
@@ -115,8 +117,7 @@ bool CdclSolver::add_clause(std::span<const Lit> lits_in) {
   attach_clause(cref);
   // Feed the incremental inprocessor: only these neighborhoods need a
   // fresh subsumption/BVE look next pass.
-  fresh_clause_vars_.reserve(fresh_clause_vars_.size() + normalized.size());
-  for (const Lit l : normalized) fresh_clause_vars_.push_back(l.var());
+  for (const Lit l : normalized) fresh_[static_cast<std::size_t>(l.var())] = 1;
   return true;
 }
 

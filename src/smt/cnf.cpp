@@ -1,5 +1,6 @@
 #include "scada/smt/cnf.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "scada/smt/cardinality.hpp"
@@ -12,22 +13,23 @@ CnfTransformer::CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink,
     : builder_(builder), sink_(sink), card_encoding_(card_encoding) {}
 
 Var CnfTransformer::solver_var(Var builder_var) {
-  const auto it = var_map_.find(builder_var);
-  if (it != var_map_.end()) return it->second;
-  const Var sv = sink_.fresh_var(builder_.var_name(builder_var));
-  var_map_.emplace(builder_var, sv);
-  return sv;
+  const auto bv = static_cast<std::size_t>(builder_var);
+  if (bv >= var_map_.size()) {
+    var_map_.resize(std::max(bv, static_cast<std::size_t>(builder_.num_vars())) + 1, 0);
+  }
+  if (var_map_[bv] == 0) var_map_[bv] = sink_.fresh_var();
+  return var_map_[bv];
 }
 
 std::optional<Var> CnfTransformer::try_solver_var(Var builder_var) const {
-  const auto it = var_map_.find(builder_var);
-  if (it == var_map_.end()) return std::nullopt;
-  return it->second;
+  const auto bv = static_cast<std::size_t>(builder_var);
+  if (bv >= var_map_.size() || var_map_[bv] == 0) return std::nullopt;
+  return var_map_[bv];
 }
 
 Lit CnfTransformer::literal_for(Formula f) {
-  const auto it = node_lit_.find(f.id);
-  if (it != node_lit_.end()) return it->second;
+  const auto id = static_cast<std::size_t>(f.id);
+  if (id < node_lit_.size() && node_lit_[id].var() != 0) return node_lit_[id];
 
   const FormulaNode& n = builder_.node(f);
   Lit lit;
@@ -35,7 +37,7 @@ Lit CnfTransformer::literal_for(Formula f) {
     case NodeKind::True:
     case NodeKind::False: {
       if (const_true_ == 0) {
-        const_true_ = sink_.fresh_var("const_true");
+        const_true_ = sink_.fresh_var();
         sink_.add_clause({pos(const_true_)});
       }
       lit = (n.kind == NodeKind::True) ? pos(const_true_) : neg(const_true_);
@@ -51,10 +53,12 @@ Lit CnfTransformer::literal_for(Formula f) {
     case NodeKind::Or:
     case NodeKind::AtMost:
     case NodeKind::AtLeast:
-      lit = pos(sink_.fresh_var("def_n" + std::to_string(f.id)));
+      lit = pos(sink_.fresh_var());
       break;
   }
-  node_lit_.emplace(f.id, lit);
+  // Grown after the Not recursion above, which may itself grow the vector.
+  if (id >= node_lit_.size()) node_lit_.resize(std::max(id + 1, builder_.num_nodes()));
+  node_lit_[id] = lit;
   return lit;
 }
 
@@ -70,10 +74,11 @@ void CnfTransformer::encode(Formula f, unsigned needed) {
     return;
   }
 
-  unsigned& done = node_done_[f.id];
-  const unsigned missing = needed & ~done;
+  const auto id = static_cast<std::size_t>(f.id);
+  if (id >= node_done_.size()) node_done_.resize(std::max(id + 1, builder_.num_nodes()), 0);
+  const unsigned missing = needed & ~node_done_[id];
   if (missing == 0) return;
-  done |= missing;
+  node_done_[id] = static_cast<unsigned char>(node_done_[id] | missing);
 
   switch (n.kind) {
     case NodeKind::True:

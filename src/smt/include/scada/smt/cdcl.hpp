@@ -501,11 +501,6 @@ class CdclSolver {
   /// the pass's occurrence lists and scratch buffers keep their capacity
   /// across rounds (incremental callers re-simplify often).
   std::unique_ptr<Simplifier> simplifier_;
-  /// Variables of problem clauses added since the last inprocessing pass.
-  /// The Simplifier seeds its touched-neighborhood flags from this list
-  /// instead of re-flagging every variable, so a pass over a mostly
-  /// unchanged clause database only revisits what actually changed.
-  std::vector<Var> fresh_clause_vars_;
 
   /// Pulls foreign clauses from the attached exchange (decision level 0 only)
   /// and integrates them as learned clauses. Returns false iff the instance
@@ -571,6 +566,13 @@ class CdclSolver {
   // --- inprocessing state ---
   std::vector<bool> frozen_;      // indexed by Var; never eliminated
   std::vector<bool> eliminated_;  // indexed by Var; removed by BVE
+  /// Indexed by Var: occurs in a problem clause added since the last
+  /// inprocessing pass. The Simplifier ORs these flags into its
+  /// touched-neighborhood flags (and clears them) instead of re-flagging
+  /// every variable, so a pass over a mostly unchanged clause database only
+  /// revisits what actually changed. One byte per variable keeps ingestion
+  /// O(1) per literal and this state O(vars), however many clauses arrive.
+  std::vector<char> fresh_;
   std::vector<WitnessClause> witness_stack_;
   std::size_t clauses_at_last_simplify_ = 0;
   bool simplified_once_ = false;

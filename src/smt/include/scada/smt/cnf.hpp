@@ -12,7 +12,7 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "scada/smt/formula.hpp"
 #include "scada/smt/sink.hpp"
@@ -52,10 +52,12 @@ class CnfTransformer {
   ClauseSink& sink_;
   CardinalityEncoding card_encoding_;
 
-  std::unordered_map<std::int32_t, Lit> node_lit_;        // node id -> naming literal
-  std::unordered_map<std::int32_t, unsigned> node_done_;  // node id -> encoded polarity mask
-  std::unordered_map<Var, Var> var_map_;                  // builder var -> solver var
-  Var const_true_ = 0;                                    // lazily created "true" variable
+  // Node ids and builder variables are dense (0..n-1 and 1..n), so the
+  // maps are vectors grown on demand; a zero entry means "not yet".
+  std::vector<Lit> node_lit_;             // node id -> naming literal (var 0: none)
+  std::vector<unsigned char> node_done_;  // node id -> encoded polarity mask
+  std::vector<Var> var_map_;              // builder var -> solver var (0: none)
+  Var const_true_ = 0;                    // lazily created "true" variable
 };
 
 /// Evaluates `f` under a concrete assignment of the builder's variables.

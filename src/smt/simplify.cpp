@@ -88,9 +88,10 @@ bool Simplifier::collect() {
   // var(D), so any actionable pair has a flagged participant), and a
   // variable whose problem neighborhood and level-0 context are unchanged
   // reproduces last pass's BVE budget verdict. Sources of change between
-  // passes: clauses the solver added (fresh_clause_vars_), clauses the
-  // cleanup below strips or removes (touched here), and leftovers from a
-  // pass that hit the round limit or an interrupt (never cleared).
+  // passes: clauses the solver added (its per-variable fresh_ flags),
+  // clauses the cleanup below strips or removes (touched here), and
+  // leftovers from a pass that hit the round limit or an interrupt (never
+  // cleared).
   const auto nvars = static_cast<std::size_t>(s_.num_vars()) + 1;
   if (!warm_) {
     touched_.assign(nvars, 1);
@@ -99,13 +100,12 @@ bool Simplifier::collect() {
   } else {
     touched_.resize(nvars, 0);
     stouched_.resize(nvars, 0);
-    for (const Var v : s_.fresh_clause_vars_) {
-      const auto vi = static_cast<std::size_t>(v);
-      touched_[vi] = 1;
-      stouched_[vi] = 1;
+    for (std::size_t vi = 0; vi < nvars; ++vi) {
+      touched_[vi] |= s_.fresh_[vi];
+      stouched_[vi] |= s_.fresh_[vi];
     }
   }
-  s_.fresh_clause_vars_.clear();
+  std::fill(s_.fresh_.begin(), s_.fresh_.end(), 0);
 
   // The arena is not walkable (freed clauses leave no traversable gap), so
   // the live set is the solver's ref lists; visit them in ref order — the
