@@ -13,7 +13,7 @@
 // and each timed verify must give the verdict its budget implies. Any
 // disagreement makes the run exit 1. The run writes BENCH_fig5.json with the
 // per-size sat/unsat milliseconds of each backend next to the CDCL figures
-// of the quadratic-ingestion solver (baseline_cdcl_*).
+// of the previous inprocessing pass (baseline_cdcl_*).
 #include <array>
 #include <cstdio>
 #include <string>
@@ -29,14 +29,15 @@ using core::Property;
 
 constexpr std::array<int, 4> kBusSizes = {14, 30, 57, 118};
 
-/// CDCL sat/unsat ms per bus size with the old quadratic clause ingestion
-/// (an exact-size reserve of a per-literal inprocessing worklist on every
-/// clause), measured with this bench on a Release build on a shared 4-core
-/// x86-64 host.
-constexpr std::array<double, 4> kBaselineCdclObsSatMs = {4.0, 15.1, 114.2, 1650.5};
-constexpr std::array<double, 4> kBaselineCdclObsUnsatMs = {0.8, 11.6, 86.7, 1657.1};
-constexpr std::array<double, 4> kBaselineCdclSecSatMs = {4.1, 14.3, 96.0, 1503.0};
-constexpr std::array<double, 4> kBaselineCdclSecUnsatMs = {1.0, 7.2, 43.9, 1440.8};
+/// CDCL sat/unsat ms per bus size with the previous inprocessing pass (a
+/// forward-subsumption scan plus one self-subsumption scan of occ(~l) per
+/// literal l of every subsumer, and per-clause scratch vectors), measured
+/// with this bench on a Release build on a shared 4-core x86-64 host (mean
+/// of two runs).
+constexpr std::array<double, 4> kBaselineCdclObsSatMs = {2.2, 8.5, 35.4, 219.4};
+constexpr std::array<double, 4> kBaselineCdclObsUnsatMs = {0.4, 4.7, 23.0, 185.7};
+constexpr std::array<double, 4> kBaselineCdclSecSatMs = {2.6, 7.2, 32.7, 162.5};
+constexpr std::array<double, 4> kBaselineCdclSecUnsatMs = {0.5, 3.4, 4.1, 129.5};
 
 struct Curves {
   std::array<double, 4> sat_ms{};

@@ -144,21 +144,33 @@ void CdclSolver::restore_variable(Var v) {
 
   // Pull this variable's eliminated clauses off the witness stack first
   // (keeping their order), so recursive restores see a consistent stack.
+  // Surviving entries slide down in place; literals only ever move to lower
+  // offsets, so the forward copy never overwrites unread input.
   std::vector<WitnessClause> mine;
+  std::vector<Lit> mine_lits;
   std::size_t kept = 0;
-  for (auto& entry : witness_stack_) {
+  std::size_t kept_lits = 0;
+  for (const WitnessClause& entry : witness_stack_) {
+    const std::span<const Lit> lits = witness_clause(entry);
     if (entry.witness.var() == v) {
-      mine.push_back(std::move(entry));
+      mine.push_back({entry.witness, mine_lits.size(), mine_lits.size() + lits.size()});
+      mine_lits.insert(mine_lits.end(), lits.begin(), lits.end());
     } else {
-      if (&witness_stack_[kept] != &entry) witness_stack_[kept] = std::move(entry);
-      ++kept;
+      if (kept_lits != entry.begin) {
+        std::copy(lits.begin(), lits.end(),
+                  witness_lits_.begin() + static_cast<std::ptrdiff_t>(kept_lits));
+      }
+      witness_stack_[kept++] = {entry.witness, kept_lits, kept_lits + lits.size()};
+      kept_lits += lits.size();
     }
   }
   witness_stack_.resize(kept);
+  witness_lits_.resize(kept_lits);
 
   for (const WitnessClause& wc : mine) {
+    const std::span<const Lit> lits{mine_lits.data() + wc.begin, wc.end - wc.begin};
     // A clause stacked for v may also mention variables eliminated after v.
-    for (const Lit l : wc.lits) {
+    for (const Lit l : lits) {
       if (eliminated_[static_cast<std::size_t>(l.var())]) restore_variable(l.var());
     }
     // The clause was proof-deleted when v was eliminated. Hand the restore to
@@ -167,12 +179,12 @@ void CdclSolver::restore_variable(Var v) {
     // the earlier deletion instead so the proof also survives inputs asserted
     // after this restore.
     if (proof_ != nullptr) {
-      std::vector<Lit> pivot_first(wc.lits);
+      std::vector<Lit> pivot_first(lits.begin(), lits.end());
       const auto at = std::find(pivot_first.begin(), pivot_first.end(), wc.witness);
       if (at != pivot_first.end()) std::iter_swap(pivot_first.begin(), at);
       proof_->restore_clause(pivot_first);
     }
-    (void)add_clause(wc.lits);
+    (void)add_clause(lits);
   }
   if (var_value(v) == LBool::Undef && !heap_contains(v)) heap_insert(v);
 }
@@ -182,7 +194,7 @@ void CdclSolver::reconstruct_model() {
   // only falsify clauses eliminated earlier, which are replayed later.
   for (auto it = witness_stack_.rbegin(); it != witness_stack_.rend(); ++it) {
     bool satisfied = false;
-    for (const Lit l : it->lits) {
+    for (const Lit l : witness_clause(*it)) {
       if (model_[static_cast<std::size_t>(l.var())] != l.negated()) {
         satisfied = true;
         break;

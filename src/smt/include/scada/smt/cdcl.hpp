@@ -262,6 +262,10 @@ struct CdclStats {
   std::uint64_t vars_eliminated = 0;      ///< variables removed by BVE
   std::uint64_t clauses_subsumed = 0;     ///< clauses deleted by subsumption
   std::uint64_t clauses_strengthened = 0; ///< literals-dropped rewrites (SSR/strip)
+  /// Occurrence-list entries scanned by subsumption (stale entries included)
+  /// — the work unit of the subsumption scan, as watch_inspections is of
+  /// propagate().
+  std::uint64_t subsumption_inspections = 0;
   std::uint64_t resolvents_added = 0;     ///< BVE resolvents kept
   std::uint64_t failed_literals = 0;      ///< units learned by probing
   std::uint64_t vivified_clauses = 0;     ///< learned clauses shortened by vivification
@@ -479,10 +483,15 @@ class CdclSolver {
   // --- inprocessing support (simplify.cpp implements simplify/vivify) ---
   /// One eliminated clause: `witness` is the literal of the eliminated
   /// variable it contained; replaying the stack in reverse repairs models.
+  /// Its literals are witness_lits_[begin, end).
   struct WitnessClause {
     Lit witness;
-    std::vector<Lit> lits;
+    std::size_t begin;
+    std::size_t end;
   };
+  [[nodiscard]] std::span<const Lit> witness_clause(const WitnessClause& wc) const noexcept {
+    return {witness_lits_.data() + wc.begin, wc.end - wc.begin};
+  }
   /// Re-adds every clause eliminated with `v` (transitively restoring other
   /// eliminated variables they mention) and clears its eliminated flag. The
   /// re-additions are RAT on the witness literal, emitted pivot-first.
@@ -573,7 +582,10 @@ class CdclSolver {
   /// revisits what actually changed. One byte per variable keeps ingestion
   /// O(1) per literal and this state O(vars), however many clauses arrive.
   std::vector<char> fresh_;
+  // The witness stack is flat: one literal array for every eliminated
+  // clause, so stacking a clause allocates nothing once the array has grown.
   std::vector<WitnessClause> witness_stack_;
+  std::vector<Lit> witness_lits_;
   std::size_t clauses_at_last_simplify_ = 0;
   bool simplified_once_ = false;
   std::uint32_t restarts_since_vivify_ = 0;

@@ -4,8 +4,9 @@
 // One pass, run by CdclSolver::simplify() at decision level 0:
 //   1. level-0 cleanup — satisfied clauses removed, permanently false
 //      literals stripped,
-//   2. subsumption + self-subsuming resolution over occurrence lists with
-//      64-bit literal signatures,
+//   2. subsumption + self-subsuming resolution in one scan per subsumer:
+//      the occurrence lists of its least-occurring variable, pre-filtered by
+//      64-bit variable signatures,
 //   3. bounded variable elimination (BVE) with a resolvent-growth budget;
 //      eliminated clauses go onto the solver's witness stack so Sat models
 //      can be reconstructed over the original formula,
@@ -22,16 +23,17 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "scada/smt/cdcl.hpp"
 
 namespace scada::smt {
 
-/// One inprocessing pass over a CdclSolver. All state (occurrence lists,
-/// signatures) is per-pass; CdclSolver::simplify() constructs and runs one.
+/// Inprocessing passes over a CdclSolver. CdclSolver::simplify() constructs
+/// one on first use and keeps it, so its buffers keep their capacity across
+/// passes; their contents (occurrence lists, signatures) are per pass.
 class Simplifier {
  public:
   explicit Simplifier(CdclSolver& solver) : s_(solver) {}
@@ -54,8 +56,9 @@ class Simplifier {
   /// Detaches all watchers, sorts/cleans every clause, builds occurrence
   /// lists and signatures. Returns false iff unsat.
   bool collect();
-  /// Forward subsumption and self-subsuming resolution; `changed` is set
-  /// when any clause was removed or strengthened. Returns false iff unsat.
+  /// Subsumption and self-subsuming resolution, one occurrence scan per
+  /// subsumer; `changed` is set when any clause was removed or strengthened.
+  /// Returns false iff unsat.
   bool subsumption_pass(bool& changed);
   /// Bounded variable elimination, cheapest variables first. Returns false
   /// iff unsat.
@@ -67,19 +70,18 @@ class Simplifier {
   /// iff unsat.
   bool probe_pass();
 
-  /// Removes `~drop` from clause `dr` (proof: add shortened, delete
+  /// Removes `drop` from clause `dr` (proof: add shortened, delete
   /// original). Returns false iff unsat.
   bool strengthen(ClauseRef dr, Lit drop);
-  /// Pushes the clause onto the witness stack, proof-deletes it, and retires
-  /// it from the occurrence lists.
+  /// Pushes the clause onto the witness stack, proof-deletes it, and frees
+  /// it. Its occurrence entries stay behind as stale refs.
   void retire_parent(ClauseRef cr, Lit witness);
-  /// Resolves two clauses on `v`; nullopt for tautological or level-0
-  /// satisfied resolvents; level-0 false literals are stripped.
-  std::optional<std::vector<Lit>> resolve(ClauseRef pr, ClauseRef nr, Var v) const;
-  /// Counting-only twin of resolve(): true iff the resolvent survives (not
-  /// tautological, not satisfied at level 0), without materializing it. Used
-  /// for the BVE budget check so rejected candidates allocate nothing.
-  bool resolvent_survives(ClauseRef pr, ClauseRef nr, Var v) const;
+  /// Appends the resolvent of two clauses on `v` to resolvent_lits_/
+  /// resolvent_ends_, level-0 false literals stripped. Returns false, and
+  /// appends nothing, for tautological or level-0 satisfied resolvents.
+  bool add_resolvent(ClauseRef pr, ClauseRef nr, Var v);
+  /// Drops removed refs from occ(l) in place, keeping the order of the rest.
+  std::vector<ClauseRef>& compact_occ(Lit l);
   /// Marks the variables of `lits` as touched: after the first round, BVE
   /// and subsumption revisit only touched neighborhoods.
   void touch(std::span<const Lit> lits);
@@ -101,8 +103,18 @@ class Simplifier {
   std::vector<char> touched_;                 // Var -> revisit in the next BVE round
   std::vector<char> stouched_;                // Var -> revisit in the next subsumption round
   bool warm_ = false;  // first pass flags every variable; later passes only changed ones
-  std::vector<Lit> clits_scratch_;            // subsumption_pass: stable copy of C
-  std::vector<ClauseRef> occ_scratch_;        // subsumption_pass: stable copy of occ(~l)
+  // Scratch reused across clauses, rounds and passes, so the pass allocates
+  // nothing per clause or per candidate once the buffers have grown.
+  std::vector<ClauseRef> live_;               // collect/rebuild: live refs, arena order
+  std::vector<std::uint32_t> occ_count_;      // collect: Lit::code -> problem occurrences
+  std::vector<Lit> kept_;                     // collect/strengthen: surviving literals
+  std::vector<char> active_;                  // subsumption_pass: stouched_ snapshot
+  std::vector<std::pair<std::uint32_t, ClauseRef>> by_size_;  // subsumers, smallest first
+  std::vector<std::pair<Lit, ClauseRef>> to_strengthen_;      // one subsumer's SSR hits
+  std::vector<Var> elim_order_;               // bve_pass: candidates, cheapest first
+  std::vector<std::size_t> elim_cost_;        // bve_pass: Var -> live occurrences
+  std::vector<Lit> resolvent_lits_;           // bve_pass: resolvents, back to back
+  std::vector<std::size_t> resolvent_ends_;   // bve_pass: end offset of each resolvent
 };
 
 }  // namespace scada::smt

@@ -11,38 +11,35 @@ namespace scada::smt {
 
 namespace {
 
-std::uint64_t lit_bit(Lit l) noexcept {
-  return std::uint64_t{1} << (static_cast<std::uint32_t>(l.code) & 63u);
-}
-
+/// Variable signature: bit var mod 64 per literal. C ⊆ D and C's
+/// self-subsumption of D both force var(C) ⊆ var(D), so one pre-filter
+/// serves both checks.
 std::uint64_t signature(std::span<const Lit> lits) noexcept {
   std::uint64_t sig = 0;
-  for (const Lit l : lits) sig |= lit_bit(l);
+  for (const Lit l : lits) sig |= std::uint64_t{1} << (static_cast<std::uint32_t>(l.var()) & 63u);
   return sig;
 }
 
-/// a ⊆ b for clauses sorted by Lit::code.
-bool subset(std::span<const Lit> a, std::span<const Lit> b) {
-  std::size_t j = 0;
-  for (const Lit l : a) {
-    while (j < b.size() && b[j].code < l.code) ++j;
-    if (j == b.size() || b[j].code != l.code) return false;
-    ++j;
-  }
-  return true;
-}
+enum class Subsumption { None, Subsumes, Strengthens };
 
-/// (a \ {skip_a}) ⊆ (b \ {skip_b}) for clauses sorted by Lit::code.
-bool subset_except(std::span<const Lit> a, Lit skip_a, std::span<const Lit> b,
-                   Lit skip_b) {
+/// One sorted merge of clauses c and d (both sorted by Lit::code, so by
+/// variable): Subsumes when c ⊆ d; Strengthens when d holds every literal of
+/// c but one, which it holds negated (returned in `drop` — resolving on it
+/// removes `drop` from d); None otherwise.
+Subsumption subsumption(std::span<const Lit> c, std::span<const Lit> d, Lit& drop) {
   std::size_t j = 0;
-  for (const Lit l : a) {
-    if (l == skip_a) continue;
-    while (j < b.size() && (b[j].code < l.code || b[j] == skip_b)) ++j;
-    if (j == b.size() || b[j].code != l.code) return false;
+  bool flipped = false;
+  for (const Lit l : c) {
+    while (j < d.size() && d[j].var() < l.var()) ++j;
+    if (j == d.size() || d[j].var() != l.var()) return Subsumption::None;
+    if (d[j] != l) {
+      if (flipped) return Subsumption::None;
+      flipped = true;
+      drop = d[j];
+    }
     ++j;
   }
-  return true;
+  return flipped ? Subsumption::Strengthens : Subsumption::Subsumes;
 }
 
 }  // namespace
@@ -112,16 +109,22 @@ bool Simplifier::collect() {
   // arena layout order — matching the old whole-arena sweep.
   std::erase_if(s_.problem_refs_, [this](ClauseRef r) { return s_.arena_.removed(r); });
   std::erase_if(s_.learned_refs_, [this](ClauseRef r) { return s_.arena_.removed(r); });
-  std::vector<ClauseRef> live;
-  live.reserve(s_.problem_refs_.size() + s_.learned_refs_.size());
-  live.insert(live.end(), s_.problem_refs_.begin(), s_.problem_refs_.end());
-  live.insert(live.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
-  std::sort(live.begin(), live.end());
+  live_.assign(s_.problem_refs_.begin(), s_.problem_refs_.end());
+  live_.insert(live_.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
+  std::sort(live_.begin(), live_.end());
+  // Size each problem occurrence list once: on the first pass the lists
+  // start empty, and growing them one push_back at a time costs several
+  // allocations per list.
+  occ_count_.assign(occ_.size(), 0);
+  for (const ClauseRef r : s_.problem_refs_) {
+    for (const Lit l : s_.arena_.clause(r)) ++occ_count_[static_cast<std::size_t>(l.code)];
+  }
+  for (std::size_t code = 0; code < occ_.size(); ++code) occ_[code].reserve(occ_count_[code]);
 
-  for (const ClauseRef r : live) {
+  for (const ClauseRef r : live_) {
     const std::span<Lit> lits = s_.arena_.clause(r);
-    // Sorted literals make the subset/resolution merges linear; watchers are
-    // detached, so reordering is safe.
+    // Sorted literals make the subsumption/resolution merges linear;
+    // watchers are detached, so reordering is safe.
     std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.code < b.code; });
 
     bool satisfied = false;
@@ -135,8 +138,8 @@ bool Simplifier::collect() {
       remove_clause(r, /*emit_delete=*/true);
       continue;
     }
-    std::vector<Lit> kept;
-    kept.reserve(lits.size());
+    std::vector<Lit>& kept = kept_;
+    kept.clear();
     for (const Lit l : lits) {
       if (s_.value(l) != LBool::False) kept.push_back(l);
     }
@@ -173,8 +176,8 @@ bool Simplifier::collect() {
 
 bool Simplifier::strengthen(ClauseRef dr, Lit drop) {
   const std::span<Lit> lits = s_.arena_.clause(dr);
-  std::vector<Lit> kept;
-  kept.reserve(lits.size() - 1);
+  std::vector<Lit>& kept = kept_;
+  kept.clear();
   for (const Lit l : lits) {
     if (l != drop) kept.push_back(l);
   }
@@ -201,71 +204,80 @@ bool Simplifier::subsumption_pass(bool& changed) {
   // anything new; round one sees every variable flagged (collect). The
   // snapshot is taken before the scan because the scan itself re-flags the
   // neighborhoods it changes, which the *next* round must revisit.
-  const std::vector<char> active = std::exchange(
-      stouched_, std::vector<char>(static_cast<std::size_t>(s_.num_vars()) + 1, 0));
-  const auto is_active = [&active](std::span<const Lit> lits) {
+  active_.swap(stouched_);
+  stouched_.assign(static_cast<std::size_t>(s_.num_vars()) + 1, 0);
+  const auto is_active = [this](std::span<const Lit> lits) {
     for (const Lit l : lits) {
-      if (active[static_cast<std::size_t>(l.var())] != 0) return true;
+      if (active_[static_cast<std::size_t>(l.var())] != 0) return true;
     }
     return false;
   };
 
   // Small clauses are the strongest subsumers; visit them first. Sizes are
   // captured once so the sort compares plain integers instead of reloading
-  // two arena headers per comparison. The comparator answers exactly as the
-  // header-loading one did, so the resulting visit order is unchanged.
-  std::vector<std::pair<std::uint32_t, ClauseRef>> order;
-  order.reserve(problem_.size());
+  // two arena headers per comparison.
+  by_size_.clear();
   for (const ClauseRef r : problem_) {
     if (!s_.arena_.removed(r) && is_active(s_.arena_.clause(r))) {
-      order.emplace_back(s_.arena_.size(r), r);
+      by_size_.emplace_back(s_.arena_.size(r), r);
     }
   }
-  std::sort(order.begin(), order.end(),
+  std::sort(by_size_.begin(), by_size_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  for (const auto& [size_at_sort, cr] : order) {
+  for (const auto& [size_at_sort, cr] : by_size_) {
     (void)size_at_sort;
     if (s_.interrupted()) return true;
     if (s_.arena_.removed(cr)) continue;
+    const std::span<const Lit> clause_c = s_.arena_.clause(cr);
     const std::uint64_t csig = sig_[cr];
 
-    // Forward subsumption: C deletes every D ⊇ C. Scanning the occurrence
-    // list of C's rarest literal visits every candidate.
-    const std::span<const Lit> clause_c = s_.arena_.clause(cr);
-    Lit rare = clause_c[0];
+    // Every D that C subsumes holds C's literal on each of C's variables, and
+    // every D that C strengthens holds that literal or its negation: the two
+    // occurrence lists of C's least-occurring variable name every candidate.
+    Lit pivot = clause_c[0];
+    std::size_t fewest = SIZE_MAX;
     for (const Lit l : clause_c) {
-      if (occ(l).size() < occ(rare).size()) rare = l;
-    }
-    // Iterated directly: remove_clause only flags the header and touches
-    // variables, it never edits occurrence lists, so occ(rare) is stable here.
-    for (const ClauseRef dr : occ(rare)) {
-      if (dr == cr) continue;
-      if (s_.arena_.removed(dr) || s_.arena_.size(dr) < clause_c.size()) continue;
-      if ((csig & ~sig_[dr]) != 0) continue;
-      if (!subset(clause_c, s_.arena_.clause(dr))) continue;
-      remove_clause(dr, /*emit_delete=*/true);
-      ++s_.stats_.clauses_subsumed;
-      changed = true;
-    }
-
-    // Self-subsuming resolution: when (C \ {l}) ⊆ (D \ {~l}), resolving on l
-    // proves D without ~l — strengthen D in place. C's literals are copied
-    // out: strengthen() rewrites clauses in place, and C itself must stay
-    // stable across the scan. Likewise occ(~l) is copied because strengthen()
-    // erases the strengthened clause from exactly that list. Both copies land
-    // in member scratch buffers so the inner loops allocate nothing.
-    clits_scratch_.assign(clause_c.begin(), clause_c.end());
-    for (const Lit l : clits_scratch_) {
-      const std::uint64_t base = csig & ~lit_bit(l);
-      occ_scratch_.assign(occ(~l).begin(), occ(~l).end());
-      for (const ClauseRef dr : occ_scratch_) {
-        if (s_.arena_.removed(dr) || s_.arena_.size(dr) < clits_scratch_.size()) continue;
-        if ((base & ~sig_[dr]) != 0) continue;
-        if (!subset_except(clits_scratch_, l, s_.arena_.clause(dr), ~l)) continue;
-        if (!strengthen(dr, ~l)) return false;
-        changed = true;
+      const std::size_t n = occ(l).size() + occ(~l).size();
+      if (n < fewest) {
+        fewest = n;
+        pivot = l;
       }
+    }
+    s_.stats_.subsumption_inspections += fewest;
+
+    // The scan itself edits no occurrence list (remove_clause only flags the
+    // header), so both lists are iterated in place. Strengthenings are queued
+    // and applied after the scan, ordered by the literal of C they resolve
+    // on, then by ref, so the level-0 units they derive, the proof and the
+    // unsat exit point do not depend on which variable was scanned.
+    to_strengthen_.clear();
+    for (const Lit side : {pivot, ~pivot}) {
+      for (const ClauseRef dr : occ(side)) {
+        if (dr == cr) continue;
+        if (s_.arena_.removed(dr) || s_.arena_.size(dr) < clause_c.size()) continue;
+        if ((csig & ~sig_[dr]) != 0) continue;
+        Lit drop{};
+        switch (subsumption(clause_c, s_.arena_.clause(dr), drop)) {
+          case Subsumption::None:
+            break;
+          case Subsumption::Subsumes:
+            remove_clause(dr, /*emit_delete=*/true);
+            ++s_.stats_.clauses_subsumed;
+            changed = true;
+            break;
+          case Subsumption::Strengthens:
+            to_strengthen_.emplace_back(drop, dr);
+            break;
+        }
+      }
+    }
+    std::sort(to_strengthen_.begin(), to_strengthen_.end(), [](const auto& a, const auto& b) {
+      return a.first.code != b.first.code ? a.first.code < b.first.code : a.second < b.second;
+    });
+    for (const auto& [drop, dr] : to_strengthen_) {
+      if (!strengthen(dr, drop)) return false;
+      changed = true;
     }
   }
   return true;
@@ -306,28 +318,27 @@ bool merge_resolvent(std::span<const Lit> a, std::span<const Lit> b, Var v, Emit
 
 }  // namespace
 
-std::optional<std::vector<Lit>> Simplifier::resolve(ClauseRef pr, ClauseRef nr, Var v) const {
-  const std::span<const Lit> a = s_.arena_.clause(pr);
-  const std::span<const Lit> b = s_.arena_.clause(nr);
-  std::vector<Lit> out;
-  out.reserve(a.size() + b.size() - 2);
-  bool satisfied = false;
-  const bool non_taut = merge_resolvent(a, b, v, [&](Lit l) {
-    const LBool val = s_.value(l);
-    if (val == LBool::True) satisfied = true;  // satisfied at level 0
-    if (val == LBool::Undef) out.push_back(l);
-  });
-  if (!non_taut || satisfied) return std::nullopt;
-  return out;
-}
-
-bool Simplifier::resolvent_survives(ClauseRef pr, ClauseRef nr, Var v) const {
+bool Simplifier::add_resolvent(ClauseRef pr, ClauseRef nr, Var v) {
+  const std::size_t begin = resolvent_lits_.size();
   bool satisfied = false;
   const bool non_taut =
       merge_resolvent(s_.arena_.clause(pr), s_.arena_.clause(nr), v, [&](Lit l) {
-        if (s_.value(l) == LBool::True) satisfied = true;
+        const LBool val = s_.value(l);
+        if (val == LBool::True) satisfied = true;  // satisfied at level 0
+        if (val == LBool::Undef) resolvent_lits_.push_back(l);
       });
-  return non_taut && !satisfied;
+  if (!non_taut || satisfied) {
+    resolvent_lits_.resize(begin);
+    return false;
+  }
+  resolvent_ends_.push_back(resolvent_lits_.size());
+  return true;
+}
+
+std::vector<Simplifier::ClauseRef>& Simplifier::compact_occ(Lit l) {
+  std::vector<ClauseRef>& refs = occ(l);
+  std::erase_if(refs, [this](ClauseRef r) { return s_.arena_.removed(r); });
+  return refs;
 }
 
 void Simplifier::touch(std::span<const Lit> lits) {
@@ -355,30 +366,25 @@ Simplifier::ClauseRef Simplifier::add_problem_clause(std::span<const Lit> lits) 
 
 void Simplifier::retire_parent(ClauseRef cr, Lit witness) {
   // The occ entries stay behind as stale refs: every occ consumer checks the
-  // removed flag, and eager std::erase here is quadratic over a pass. Freed
+  // removed flag, and eager std::erase here is quadratic over a pass. BVE
+  // compacts a variable's lists when it counts or gathers them. Freed
   // clauses keep their header until the solver's GC runs (after this pass),
   // so a stale ref can never alias a live clause.
   const std::span<const Lit> lits = s_.arena_.clause(cr);
   if (s_.proof_ != nullptr) s_.proof_->delete_clause(lits);
   touch(lits);
-  s_.witness_stack_.push_back(
-      CdclSolver::WitnessClause{witness, std::vector<Lit>(lits.begin(), lits.end())});
+  const std::size_t begin = s_.witness_lits_.size();
+  s_.witness_lits_.insert(s_.witness_lits_.end(), lits.begin(), lits.end());
+  s_.witness_stack_.push_back({witness, begin, s_.witness_lits_.size()});
   remove_clause(cr, /*emit_delete=*/false);
 }
 
 bool Simplifier::bve_pass(bool& changed) {
   const Var n = s_.num_vars();
-  const auto active_count = [this](Lit l) {
-    std::size_t count = 0;
-    for (const ClauseRef r : occ(l)) {
-      if (!s_.arena_.removed(r)) ++count;
-    }
-    return count;
-  };
-
-  std::vector<Var> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<std::size_t> cost(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<Var>& order = elim_order_;
+  std::vector<std::size_t>& cost = elim_cost_;
+  order.clear();
+  cost.assign(static_cast<std::size_t>(n) + 1, 0);
   for (Var v = 1; v <= n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     if (touched_[vi] == 0) continue;  // neighborhood unchanged since last try
@@ -386,7 +392,7 @@ bool Simplifier::bve_pass(bool& changed) {
       touched_[vi] = 0;
       continue;
     }
-    const std::size_t c = active_count(Lit{v, false}) + active_count(Lit{v, true});
+    const std::size_t c = compact_occ(Lit{v, false}).size() + compact_occ(Lit{v, true}).size();
     touched_[vi] = 0;
     if (c == 0) continue;  // appears in no problem clause: nothing to eliminate
     cost[vi] = c;
@@ -405,28 +411,26 @@ bool Simplifier::bve_pass(bool& changed) {
     if (s_.eliminated_[vi] || s_.var_value(v) != LBool::Undef) continue;
     assert(!s_.frozen_[vi]);
 
+    // Compacted, the lists are exactly the live clauses over v. Nothing below
+    // edits them: resolvents do not mention v, and retiring a parent leaves
+    // its entries in place.
     const Lit pos{v, false};
     const Lit neg{v, true};
-    std::vector<ClauseRef> ps;
-    std::vector<ClauseRef> ns;
-    for (const ClauseRef r : occ(pos)) {
-      if (!s_.arena_.removed(r)) ps.push_back(r);
-    }
-    for (const ClauseRef r : occ(neg)) {
-      if (!s_.arena_.removed(r)) ns.push_back(r);
-    }
+    const std::vector<ClauseRef>& ps = compact_occ(pos);
+    const std::vector<ClauseRef>& ns = compact_occ(neg);
     if (ps.size() + ns.size() > s_.config_.simplify_occ_limit) continue;
 
     // The SatELite criterion: eliminate only when the non-tautological
     // resolvent count stays within the removed-clause count plus the budget.
-    // Counting pass first — rejected candidates allocate nothing, which
-    // matters because most candidates fail the budget every round.
+    // Resolvents are built into reused buffers while counting, so a rejected
+    // candidate allocates nothing and an accepted one merges each pair once.
     const std::size_t budget = ps.size() + ns.size() + s_.config_.simplify_grow;
-    std::size_t surviving = 0;
+    resolvent_lits_.clear();
+    resolvent_ends_.clear();
     bool too_many = false;
     for (const ClauseRef pr : ps) {
       for (const ClauseRef nr : ns) {
-        if (resolvent_survives(pr, nr, v) && ++surviving > budget) {
+        if (add_resolvent(pr, nr, v) && resolvent_ends_.size() > budget) {
           too_many = true;
           break;
         }
@@ -435,18 +439,13 @@ bool Simplifier::bve_pass(bool& changed) {
     }
     if (too_many) continue;
 
-    std::vector<std::vector<Lit>> resolvents;
-    resolvents.reserve(surviving);
-    for (const ClauseRef pr : ps) {
-      for (const ClauseRef nr : ns) {
-        if (auto r = resolve(pr, nr, v)) resolvents.push_back(std::move(*r));
-      }
-    }
-
     changed = true;
     s_.eliminated_[vi] = true;
     ++s_.stats_.vars_eliminated;
-    for (auto& r : resolvents) {
+    std::size_t begin = 0;
+    for (const std::size_t end : resolvent_ends_) {
+      const std::span<const Lit> r{resolvent_lits_.data() + begin, end - begin};
+      begin = end;
       ++s_.stats_.resolvents_added;
       if (r.empty()) {
         // Both sides forced by level-0 facts: the instance is unsat, and the
@@ -485,12 +484,10 @@ bool Simplifier::rebuild_and_propagate() {
   std::erase_if(s_.learned_refs_, [this](ClauseRef r) { return s_.arena_.removed(r); });
   // Attach in ref (arena layout) order so watcher-list order — and with it
   // the propagation visit order — matches the old whole-arena sweep.
-  std::vector<ClauseRef> live;
-  live.reserve(s_.problem_refs_.size() + s_.learned_refs_.size());
-  live.insert(live.end(), s_.problem_refs_.begin(), s_.problem_refs_.end());
-  live.insert(live.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
-  std::sort(live.begin(), live.end());
-  for (const ClauseRef r : live) s_.attach_clause(r);
+  live_.assign(s_.problem_refs_.begin(), s_.problem_refs_.end());
+  live_.insert(live_.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
+  std::sort(live_.begin(), live_.end());
+  for (const ClauseRef r : live_) s_.attach_clause(r);
   // Re-propagate the whole level-0 trail: units discovered during the pass
   // have not met the rebuilt watcher lists yet.
   s_.propagate_head_ = 0;
@@ -506,11 +503,9 @@ bool Simplifier::probe_pass() {
   // probing when some binary clause contains ~l (so l implies something).
   std::vector<char> is_candidate(s_.watches_.size(), 0);
   std::vector<Lit> probes;
-  std::vector<ClauseRef> binaries;
-  binaries.insert(binaries.end(), s_.problem_refs_.begin(), s_.problem_refs_.end());
-  binaries.insert(binaries.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
-  std::sort(binaries.begin(), binaries.end());  // probe in arena layout order
-  for (const ClauseRef r : binaries) {
+  // live_ still holds every live clause in arena layout order, as
+  // rebuild_and_propagate attached them: probe in that order.
+  for (const ClauseRef r : live_) {
     if (s_.arena_.removed(r) || s_.arena_.size(r) != 2) continue;
     for (const Lit l : s_.arena_.clause(r)) {
       const Lit probe = ~l;

@@ -6,49 +6,19 @@
 // breaks the bound by orders of magnitude, long before it shows as time.
 //
 // The check counts allocations, not time, so it holds on a loaded host. This
-// binary replaces the global operator new/delete with counting versions,
-// which is why it is its own executable.
+// binary replaces the global operator new/delete with counting versions
+// (counting_new.hpp), which is why it is its own executable.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
-#include "scada/core/encoder.hpp"
 #include "scada/smt/cdcl.hpp"
-#include "scada/smt/cnf.hpp"
-#include "scada/smt/sink.hpp"
-#include "scada/synth/generator.hpp"
 #include "scada/util/rng.hpp"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_bytes{0};
-std::atomic<std::uint64_t> g_calls{0};
-
-void* counted_alloc(std::size_t n) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_bytes.fetch_add(n, std::memory_order_relaxed);
-    g_calls.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
+#include "test_helpers.hpp"
 
 namespace scada::smt {
 namespace {
@@ -132,23 +102,7 @@ TEST(IngestGrowth, TwoHundredThousandLiteralsStayWithinTheBytesPerLiteralBound) 
 }
 
 TEST(IngestGrowth, Fig5ThreatCnfAt118BusesStaysWithinTheBytesPerLiteralBound) {
-  // The bench_fig5_scaling grid settings; observability at k = 1.
-  synth::SynthConfig config;
-  config.buses = 118;
-  config.measurement_fraction = 0.75;
-  config.hierarchy_level = 2;
-  config.secured_hop_fraction = 0.95;
-  config.seed = 11800;
-  const core::ScadaScenario scenario = synth::generate_scenario(config);
-  FormulaBuilder builder;
-  core::ThreatEncoder encoder(scenario, {}, builder);
-  const Formula threat =
-      encoder.threat(core::Property::Observability, core::ResiliencySpec::total(1));
-  RecordingSink sink;
-  CnfTransformer cnf(builder, sink);
-  cnf.assert_root(threat);
-
-  const IngestCost cost = ingest(sink.clauses());
+  const IngestCost cost = ingest(testing::fig5_threat_cnf(118));
   ASSERT_GE(cost.literals, 100'000U);  // the full 118-bus CNF, not a fragment
   expect_linear(cost);
 }

@@ -1,14 +1,18 @@
-// Inprocessing engine tests: subsumption, self-subsuming resolution, bounded
-// variable elimination with model reconstruction, failed-literal probing, the
-// freeze API that keeps assumption/extraction variables alive, and the
-// interaction of simplification with incremental solving and certification.
+// Inprocessing engine tests: subsumption and self-subsuming resolution (and
+// the one merge that decides both), bounded variable elimination with model
+// reconstruction, failed-literal probing, the freeze API that keeps
+// assumption/extraction variables alive, and the interaction of
+// simplification with incremental solving and certification.
 #include "scada/smt/simplify.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "scada/smt/cdcl.hpp"
+#include "scada/smt/dimacs.hpp"
+#include "scada/smt/drat.hpp"
 #include "scada/smt/session.hpp"
 #include "scada/util/rng.hpp"
 
@@ -58,6 +62,99 @@ TEST(SimplifyTest, SelfSubsumingResolutionStrengthens) {
   s.add_clause(C({-3, -4}));
   ASSERT_EQ(s.solve(), SolveResult::Sat);
   EXPECT_GE(s.stats().clauses_strengthened, 1u);
+}
+
+/// Loads `clauses` with every variable frozen, so BVE stays out and only
+/// subsumption (and probing) can act, and records the pass's proof steps.
+struct FrozenPass {
+  explicit FrozenPass(const std::vector<std::vector<Lit>>& clauses) {
+    solver.set_proof(&recorder);
+    for (const auto& clause : clauses) {
+      for (const Lit l : clause) solver.freeze(l.var());
+      solver.add_clause(clause);
+    }
+  }
+  [[nodiscard]] const std::vector<DratStep>& steps() const { return recorder.proof().steps; }
+  DratProofRecorder recorder;
+  CdclSolver solver;
+};
+
+TEST(SimplifyTest, StrengthensThroughTheNegatedOccurrencesOfThePivot) {
+  // Var 1 is the least-occurring variable of (1 2), so the scan for (1 2)
+  // walks occ(1) and occ(-1); (-1 2 3) sits in occ(-1) and loses -1.
+  const std::vector<std::vector<Lit>> clauses = {C({1, 2}), C({-1, 2, 3}), C({2, 4}),
+                                                 C({-2, 5})};
+  FrozenPass pass(clauses);
+  ASSERT_TRUE(pass.solver.simplify());
+  EXPECT_EQ(pass.solver.stats().clauses_strengthened, 1u);
+  EXPECT_EQ(pass.solver.stats().clauses_subsumed, 0u);
+  const std::vector<DratStep> expected = {{false, C({2, 3})}, {true, C({-1, 2, 3})}};
+  EXPECT_EQ(pass.steps(), expected);
+  ASSERT_EQ(pass.solver.solve(), SolveResult::Sat);
+  EXPECT_TRUE(model_satisfies(pass.solver, clauses));
+}
+
+TEST(SimplifyTest, TwoNegatedLiteralsLeaveTheClauseUntouched) {
+  // (1 2) and (-1 -2 3) clash on two variables: their resolvent on either
+  // one is a tautology, so neither clause may be strengthened.
+  FrozenPass pass({C({1, 2}), C({-1, -2, 3})});
+  ASSERT_TRUE(pass.solver.simplify());
+  EXPECT_EQ(pass.solver.stats().clauses_strengthened, 0u);
+  EXPECT_EQ(pass.solver.stats().clauses_subsumed, 0u);
+  EXPECT_TRUE(pass.steps().empty());
+}
+
+TEST(SimplifyTest, SignatureCollisionIsRejectedByTheMerge) {
+  // Variables 1, 65, 129 and 193 share one signature bit, so (1 65) passes
+  // the signature filter against (1 3 129) and (-1 5 193). Only the merge
+  // sees that 65 is missing from both: a filter-only check would delete the
+  // first and strengthen the second. The (65 x) clauses make var 1 the
+  // pivot of (1 65), so the scan does visit both candidates.
+  const std::vector<std::vector<Lit>> clauses = {
+      C({1, 65}), C({1, 3, 129}), C({-1, 5, 193}), C({65, 7}), C({65, 8}), C({65, 9})};
+  FrozenPass pass(clauses);
+  ASSERT_TRUE(pass.solver.simplify());
+  EXPECT_EQ(pass.solver.stats().clauses_strengthened, 0u);
+  EXPECT_EQ(pass.solver.stats().clauses_subsumed, 0u);
+  EXPECT_TRUE(pass.steps().empty());
+  ASSERT_EQ(pass.solver.solve(), SolveResult::Sat);
+  EXPECT_TRUE(model_satisfies(pass.solver, clauses));
+}
+
+TEST(SimplifyTest, ShorterClauseIsNeverRewrittenByALongerOne) {
+  // (1 2) subsumes (1 2 3); the longer clause must not touch the shorter
+  // one in return, whichever of them the scan meets first.
+  FrozenPass pass({C({1, 2, 3}), C({1, 2})});
+  ASSERT_TRUE(pass.solver.simplify());
+  EXPECT_EQ(pass.solver.stats().clauses_subsumed, 1u);
+  EXPECT_EQ(pass.solver.stats().clauses_strengthened, 0u);
+  const std::vector<DratStep> expected = {{true, C({1, 2, 3})}};
+  EXPECT_EQ(pass.steps(), expected);
+}
+
+TEST(SimplifyTest, CertifiedRefutationThroughStrengthenedClauses) {
+  // (1 2)/(-1 2) strengthen to the unit (2) and (-2 3)/(-2 -3) to (-2): the
+  // pass refutes the instance by itself. Unit propagation on the input finds
+  // no conflict, so the proof stands only on the strengthened clauses.
+  DimacsInstance instance;
+  instance.num_vars = 3;
+  instance.clauses = {C({1, 2}), C({-1, 2}), C({-2, 3}), C({-2, -3})};
+  FrozenPass pass(instance.clauses);
+  EXPECT_FALSE(pass.solver.simplify());
+  EXPECT_GE(pass.solver.stats().clauses_strengthened, 2u);
+  EXPECT_EQ(pass.solver.stats().conflicts, 0u);  // no search ran
+  DratProof proof = pass.recorder.proof();
+  ASSERT_TRUE(proof.derives_empty());
+  const DratCheckResult check = check_drat(instance, proof);
+  EXPECT_TRUE(check.ok) << check.error;
+
+  // Drop the first strengthened clause: the rest no longer refutes.
+  const auto first_add = std::find_if(proof.steps.begin(), proof.steps.end(),
+                                      [](const DratStep& step) { return !step.is_delete; });
+  ASSERT_NE(first_add, proof.steps.end());
+  ASSERT_EQ(first_add->clause.size(), 1u);
+  proof.steps.erase(first_add);
+  EXPECT_FALSE(check_drat(instance, proof).ok);
 }
 
 TEST(SimplifyTest, BveEliminatesDefinitionAndReconstructsModel) {

@@ -1,17 +1,41 @@
-// Shared helpers for the SMT test suites: brute-force oracles and a random
-// formula generator used by property tests.
+// Shared helpers for the SMT test suites: brute-force oracles, a random
+// formula generator used by property tests, and the Fig. 5 threat CNF used
+// by the cost guards.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "scada/core/encoder.hpp"
 #include "scada/smt/cnf.hpp"
 #include "scada/smt/formula.hpp"
+#include "scada/smt/sink.hpp"
 #include "scada/smt/types.hpp"
+#include "scada/synth/generator.hpp"
 #include "scada/util/rng.hpp"
 
 namespace scada::smt::testing {
+
+/// The k = 1 threat CNF of a bench_fig5_scaling grid (its generator
+/// settings, seed buses * 100).
+inline std::vector<Clause> fig5_threat_cnf(
+    int buses, core::Property property = core::Property::Observability) {
+  synth::SynthConfig config;
+  config.buses = buses;
+  config.measurement_fraction = 0.75;
+  config.hierarchy_level = 2;
+  config.secured_hop_fraction = 0.95;
+  config.seed = static_cast<std::uint64_t>(buses) * 100;
+  const core::ScadaScenario scenario = synth::generate_scenario(config);
+  FormulaBuilder builder;
+  core::ThreatEncoder encoder(scenario, {}, builder);
+  const Formula threat = encoder.threat(property, core::ResiliencySpec::total(1));
+  RecordingSink sink;
+  CnfTransformer cnf(builder, sink);
+  cnf.assert_root(threat);
+  return sink.clauses();
+}
 
 /// Exhaustively counts satisfying assignments of `f` over all builder
 /// variables 1..builder.num_vars(). Only usable for small variable counts.
