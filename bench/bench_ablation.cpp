@@ -104,7 +104,7 @@ BENCHMARK(BM_SmtVsBruteForce)
 void BM_ThreatMinimization(benchmark::State& state) {
   const bool minimize = state.range(0) != 0;
   const core::ScadaScenario scenario = core::make_case_study();
-  core::AnalyzerOptions options;
+  core::AnalyzerOptions options = options_for(smt::Backend::Z3);
   options.minimize_threats = minimize;
   for (auto _ : state) {
     core::ScadaAnalyzer analyzer(scenario, options);
@@ -137,7 +137,7 @@ BENCHMARK(BM_ThreatEnumeration)
 void BM_Z3CardinalityStyle(benchmark::State& state) {
   const bool integer_style = state.range(0) != 0;
   const core::ScadaScenario scenario = synthetic(30, 3);
-  core::AnalyzerOptions options;
+  core::AnalyzerOptions options = options_for(smt::Backend::Z3);
   options.solver.z3_integer_cardinality = integer_style;
   for (auto _ : state) {
     core::ScadaAnalyzer analyzer(scenario, options);

@@ -71,7 +71,8 @@ std::string json_array(const std::array<double, 4>& v) {
 }  // namespace
 
 int main() {
-  core::AnalyzerOptions z3_options;  // Z3 backend (library default)
+  core::AnalyzerOptions z3_options;
+  z3_options.solver.backend = smt::Backend::Z3;
   z3_options.minimize_threats = false;  // time the pure verification, not the
                                         // oracle-based threat minimization
   core::AnalyzerOptions cdcl_options = z3_options;

@@ -18,6 +18,7 @@ int main() {
   using core::Property;
 
   core::AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Z3;  // the paper's solver (EXPERIMENTS.md Fig. 6)
   options.minimize_threats = false;
 
   constexpr int kInputs = 6;  // more inputs than usual: we split by verdict

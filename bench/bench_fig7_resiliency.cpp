@@ -15,7 +15,8 @@ int main() {
   using namespace scada;
   using core::Property;
 
-  const core::AnalyzerOptions options;
+  core::AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Z3;  // the paper's solver (EXPERIMENTS.md Fig. 7)
 
   {
     util::TextTable table({"measurements (%)", "max IED-only k1", "max RTU-only k2"});

@@ -18,8 +18,8 @@ int main() {
   //    constructor or scada::io::read_case_file.)
   const core::ScadaScenario scenario = core::make_case_study();
 
-  // 2. The analyzer. Defaults to the Z3 backend; options select the native
-  //    CDCL engine, cardinality encodings, and threat minimization.
+  // 2. The analyzer. Defaults to the native CDCL engine; options select the
+  //    Z3 backend, cardinality encodings, and threat minimization.
   core::ScadaAnalyzer analyzer(scenario);
 
   // 3. Verify: is the system observable even when any 1 IED and any 1 RTU

@@ -70,7 +70,13 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
   key += smt::to_string(options.solver.backend);
   key += "\ncard=" + std::to_string(static_cast<int>(options.solver.card_encoding));
   key += "\nmax_conflicts=" + std::to_string(options.solver.max_conflicts);
-  key += "\nportfolio=" + std::to_string(options.solver.portfolio);
+  // The engine that runs: portfolio 0 and 1 are both the one-worker engine.
+  key += "\nportfolio=" + std::to_string(std::max(1u, options.solver.portfolio));
+  key += "\nrestart=";
+  key += smt::to_string(options.solver.restart_mode);
+  key += options.solver.tiered_db ? "\ntiered_db=1" : "\ntiered_db=0";
+  key += "\nrephase=" + std::to_string(options.solver.rephase_interval);
+  key += options.solver.chrono ? "\nchrono=1" : "\nchrono=0";
   key += "\nz3_timeout_ms=" + std::to_string(options.solver.z3_timeout_ms);
   key += options.solver.certify ? "\ncertify=1" : "\ncertify=0";
   key += options.solver.simplify ? "\nsimplify=1" : "\nsimplify=0";

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "scada/core/case_study.hpp"
@@ -54,7 +55,7 @@ smt::Backend parse_backend(const std::string& name) {
 }  // namespace
 
 BatchServer::BatchServer(ServerOptions options)
-    : options_(options), scheduler_(options.scheduler) {}
+    : scheduler_(options.scheduler) {}
 
 std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
     const JsonValue& source) {
@@ -159,7 +160,8 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     }
   }
 
-  job.options.solver.backend = options_.default_backend;
+  // Requests that name no backend get the library default (CDCL), which
+  // honors mid-solve deadline interrupts (Z3 only polls between solves).
   if (const JsonValue* b = request.find("backend")) {
     job.options.solver.backend = parse_backend(b->as_string());
   }
@@ -169,8 +171,12 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
   if (const JsonValue* v = request.find("links_can_fail")) {
     job.options.encoder.links_can_fail = v->as_bool();
   }
+  // Outside input: a negative count or an out-of-range priority is refused,
+  // never cast into an unbounded budget or a truncated priority.
   if (const JsonValue* v = request.find("max_conflicts")) {
-    job.options.solver.max_conflicts = static_cast<std::uint64_t>(v->as_int());
+    const auto conflicts = v->as_int();
+    if (conflicts < 0) throw ParseError("'max_conflicts' must be >= 0");
+    job.options.solver.max_conflicts = static_cast<std::uint64_t>(conflicts);
   }
   if (const JsonValue* v = request.find("portfolio")) {
     const auto workers = v->as_int();
@@ -178,11 +184,18 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     job.options.solver.portfolio = static_cast<unsigned>(workers);
   }
   if (const JsonValue* v = request.find("max_vectors")) {
-    job.max_vectors = static_cast<std::size_t>(v->as_int());
+    const auto vectors = v->as_int();
+    if (vectors < 0) throw ParseError("'max_vectors' must be >= 0");
+    job.max_vectors = static_cast<std::size_t>(vectors);
   }
   if (const JsonValue* v = request.find("minimal_only")) job.minimal_only = v->as_bool();
   if (const JsonValue* v = request.find("priority")) {
-    job.priority = static_cast<int>(v->as_int());
+    const auto priority = v->as_int();
+    if (priority < std::numeric_limits<int>::min() ||
+        priority > std::numeric_limits<int>::max()) {
+      throw ParseError("'priority' must fit in a 32-bit int");
+    }
+    job.priority = static_cast<int>(priority);
   }
   if (const JsonValue* v = request.find("deadline_ms")) job.deadline_ms = v->as_double();
 

@@ -50,10 +50,6 @@ namespace scada::service {
 
 struct ServerOptions {
   SchedulerOptions scheduler;
-  /// Default solver backend for requests that don't name one. The native
-  /// CDCL engine is the default: it honors mid-solve deadline interrupts
-  /// (Z3 only polls between solves).
-  smt::Backend default_backend = smt::Backend::Cdcl;
 };
 
 class BatchServer {
@@ -127,7 +123,6 @@ class BatchServer {
   [[nodiscard]] static std::string render_error(const std::string& id_json,
                                                 const std::string& message);
 
-  ServerOptions options_;
   JobScheduler scheduler_;
   /// Guards scenario_memo_: connection threads dispatch concurrently.
   std::mutex memo_mutex_;

@@ -164,10 +164,12 @@ struct PortfolioResultStats {
 /// solve() calls, so incremental use (blocking clauses, assumptions) keeps
 /// every worker's learned state, exactly like the serial solver.
 ///
-/// Threading: solve() spawns one thread per worker and joins them all before
-/// returning; between solve() calls the object is single-threaded. The
-/// external interrupt flag is polled by a supervisor loop (~5ms) and fanned
-/// out to the per-worker cancel flags.
+/// Threading: with one worker, solve() runs the plain CdclSolver in the
+/// caller's thread (this is the Session's serial engine). With two or more it
+/// spawns one thread per worker and joins them all before returning; between
+/// solve() calls the object is single-threaded. The external interrupt flag
+/// is polled by a supervisor loop (~5ms) and fanned out to the per-worker
+/// cancel flags.
 class PortfolioSolver {
  public:
   explicit PortfolioSolver(PortfolioConfig config = {});
@@ -198,9 +200,10 @@ class PortfolioSolver {
   /// Empty when the last solve had no winner or the Unsat was global.
   [[nodiscard]] const std::vector<Lit>& unsat_core() const;
 
-  /// External cooperative interruption (same contract as CdclSolver); the
-  /// flag is polled during solve() and fanned out to every worker.
-  void set_interrupt(const std::atomic<bool>* flag) noexcept { external_interrupt_ = flag; }
+  /// External cooperative interruption (same contract as CdclSolver). A
+  /// single worker polls the flag itself; with two or more the supervisor
+  /// polls it during solve() and fans it out to every worker.
+  void set_interrupt(const std::atomic<bool>* flag);
 
   /// Streams ALL workers' derivations to `writer` as one merged, monotone
   /// DRAT log (see SharedProofWriter). Must be attached before the first
@@ -212,27 +215,14 @@ class PortfolioSolver {
   [[nodiscard]] unsigned num_workers() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
-  /// Cumulative solver counters of one worker.
-  [[nodiscard]] const CdclStats& worker_stats(unsigned worker) const {
-    return workers_[worker]->stats();
-  }
   /// Winner id of the last solve plus aggregated sharing counters.
   [[nodiscard]] PortfolioResultStats stats() const;
-  /// Counters of the last winner (worker 0 when every worker was Unknown) —
-  /// the portfolio analogue of CdclSolver::stats().
-  [[nodiscard]] const CdclStats& winner_stats() const {
-    return workers_[static_cast<std::size_t>(winner_ < 0 ? 0 : winner_)]->stats();
+  /// The last winner (worker 0 when every worker was Unknown): the engine
+  /// whose stats(), peak_arena_bytes() and db_tier_sizes() describe the
+  /// verdict — the portfolio analogue of a plain CdclSolver.
+  [[nodiscard]] const CdclSolver& winner_solver() const {
+    return *workers_[static_cast<std::size_t>(winner_ < 0 ? 0 : winner_)];
   }
-  /// Peak clause-arena footprint of the last winner (CdclSolver::
-  /// peak_arena_bytes of the same worker winner_stats() reports on).
-  [[nodiscard]] std::size_t winner_peak_arena_bytes() const {
-    return workers_[static_cast<std::size_t>(winner_ < 0 ? 0 : winner_)]->peak_arena_bytes();
-  }
-  /// Learned-DB tier populations of the same worker winner_stats() reports on.
-  [[nodiscard]] DbTierSizes winner_db_tier_sizes() const {
-    return workers_[static_cast<std::size_t>(winner_ < 0 ? 0 : winner_)]->db_tier_sizes();
-  }
-  [[nodiscard]] int winner() const noexcept { return winner_; }
 
  private:
   void build_workers();
@@ -242,7 +232,7 @@ class PortfolioSolver {
   std::unique_ptr<SharedClausePool> pool_;
   DratWriter* proof_sink_ = nullptr;  ///< caller's writer; wrapped when workers >= 2
   std::unique_ptr<SharedProofWriter> shared_proof_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> cancel_;
+  std::vector<std::unique_ptr<std::atomic<bool>>> cancel_;  ///< workers >= 2 only
   const std::atomic<bool>* external_interrupt_ = nullptr;
   int winner_ = -1;
 };

@@ -21,7 +21,9 @@
 namespace scada::smt {
 
 struct SessionOptions {
-  Backend backend = Backend::Z3;
+  /// The native CDCL engine by default (library, CLIs and service alike);
+  /// Z3 stays selectable and is the differential oracle.
+  Backend backend = Backend::Cdcl;
   CardinalityEncoding card_encoding = CardinalityEncoding::SequentialCounter;
   /// CDCL conflict budget per solve() (0 = unlimited).
   std::uint64_t max_conflicts = 0;
@@ -39,10 +41,11 @@ struct SessionOptions {
   /// simplifier derivation lands in the DRAT trace. On by default.
   bool simplify = true;
   /// CDCL only: run a clause-sharing portfolio of N diversified CDCL workers
-  /// per solve() (first Sat/Unsat wins, losers are cancelled). 0 and 1 mean
-  /// the plain serial engine. Certify composes: all workers stream into one
-  /// merged DRAT log, at the cost of forcing `simplify` off (see
-  /// portfolio.hpp for the soundness argument).
+  /// per solve() (first Sat/Unsat wins, losers are cancelled). 0 and 1 both
+  /// mean one worker: the serial engine, run in the caller's thread. With two
+  /// or more, certify composes: all workers stream into one merged DRAT log,
+  /// at the cost of forcing `simplify` off (see portfolio.hpp for the
+  /// soundness argument).
   unsigned portfolio = 0;
   /// CDCL only: restart schedule. Adaptive (LBD-EMA with trail blocking) by
   /// default; Luby keeps the search identical to the fixed-cadence engine
@@ -103,8 +106,9 @@ struct SessionStats {
   /// Total solver variables allocated (Tseitin + cardinality auxiliaries);
   /// vars_eliminated / solver_vars is the BVE reduction ratio.
   std::uint64_t solver_vars = 0;
-  /// Portfolio counters (CDCL backend with SessionOptions::portfolio >= 2;
-  /// zero otherwise). Winner is the worker of the last verdict, -1 if none.
+  /// Portfolio counters (CDCL backend; zero on Z3). The serial engine is a
+  /// one-worker portfolio. Winner is the worker of the last verdict, -1 if
+  /// none.
   std::uint64_t portfolio_workers = 0;
   std::int64_t portfolio_winner = -1;
   std::uint64_t portfolio_clauses_exported = 0;
@@ -159,17 +163,6 @@ class SessionImpl {
 /// Factory implemented in z3_backend.cpp (keeps z3++.h out of public headers).
 std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder,
                                           const SessionOptions& options);
-/// Factory implemented in session.cpp.
-std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
-                                            const SessionOptions& options);
-/// Factory implemented in portfolio.cpp (clause-sharing CDCL portfolio).
-std::unique_ptr<SessionImpl> make_portfolio_impl(const FormulaBuilder& builder,
-                                                 const SessionOptions& options);
-/// Maps a solver-level assumption core back to positions in the assumption
-/// span whose CNF-defined literals are `assumption_lits` (session.cpp).
-/// Deduplicated, ascending.
-std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
-                                             std::span<const Lit> assumption_lits);
 }  // namespace detail
 
 class Session {

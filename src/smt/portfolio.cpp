@@ -6,8 +6,6 @@
 #include <condition_variable>
 #include <thread>
 
-#include "scada/smt/cnf.hpp"
-#include "scada/smt/session.hpp"
 #include "scada/util/error.hpp"
 
 namespace scada::smt {
@@ -152,11 +150,16 @@ void PortfolioSolver::build_workers() {
     shared_proof_ = std::make_unique<SharedProofWriter>(*proof_sink_);
   }
   workers_.reserve(n);
-  cancel_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<CdclSolver>(diversified_cdcl_config(config_.base, i)));
-    cancel_.push_back(std::make_unique<std::atomic<bool>>(false));
-    workers_.back()->set_interrupt(cancel_.back().get());
+    if (n >= 2) {
+      cancel_.push_back(std::make_unique<std::atomic<bool>>(false));
+      workers_.back()->set_interrupt(cancel_.back().get());
+    } else {
+      // A single worker runs in the caller's thread and polls the caller's
+      // flag itself.
+      workers_.back()->set_interrupt(external_interrupt_);
+    }
     if (proof_sink_ != nullptr) {
       // One worker logs straight to the sink (deletions included); two or
       // more share the serialized monotone log.
@@ -207,9 +210,12 @@ void PortfolioSolver::freeze(Var v) {
   for (auto& worker : workers_) worker->freeze(v);
 }
 
-bool PortfolioSolver::model_value(Var v) const {
-  return workers_[static_cast<std::size_t>(winner_ < 0 ? 0 : winner_)]->model_value(v);
+void PortfolioSolver::set_interrupt(const std::atomic<bool>* flag) {
+  external_interrupt_ = flag;
+  if (workers_.size() == 1) workers_[0]->set_interrupt(flag);
 }
+
+bool PortfolioSolver::model_value(Var v) const { return winner_solver().model_value(v); }
 
 const std::vector<Lit>& PortfolioSolver::unsat_core() const {
   static const std::vector<Lit> kEmpty;
@@ -227,11 +233,8 @@ SolveResult PortfolioSolver::solve(std::span<const Lit> assumptions) {
 
   const std::size_t n = workers_.size();
   if (n == 1) {
-    // Degenerate portfolio: run in-thread with the external flag wired
-    // straight through, then restore the cancel-flag wiring.
-    workers_[0]->set_interrupt(external_interrupt_);
+    // Degenerate portfolio: the serial engine, run in-thread.
     const SolveResult r = workers_[0]->solve(assumptions);
-    workers_[0]->set_interrupt(cancel_[0].get());
     if (r != SolveResult::Unknown) winner_ = 0;
     return r;
   }
@@ -303,190 +306,4 @@ PortfolioResultStats PortfolioSolver::stats() const {
   return out;
 }
 
-// --- Session backend ---
-
-namespace detail {
-namespace {
-
-/// Broadcast counterpart of CdclSinkAdapter: feeds the CNF pipeline into
-/// every portfolio worker, teeing a DIMACS copy when certifying.
-class PortfolioSinkAdapter final : public ClauseSink {
- public:
-  PortfolioSinkAdapter(PortfolioSolver& solver, DimacsInstance* cnf_copy)
-      : solver_(solver), cnf_copy_(cnf_copy) {}
-  void add_clause(std::span<const Lit> lits) override {
-    if (cnf_copy_ != nullptr) cnf_copy_->clauses.emplace_back(lits.begin(), lits.end());
-    solver_.add_clause(lits);
-  }
-  Var fresh_var() override { return solver_.new_var(); }
-
- private:
-  PortfolioSolver& solver_;
-  DimacsInstance* cnf_copy_;
-};
-
-class PortfolioSessionImpl final : public SessionImpl {
- public:
-  PortfolioSessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
-      : builder_(builder),
-        solver_(PortfolioConfig{.workers = options.portfolio < 1 ? 1 : options.portfolio,
-                                .base = CdclConfig{.restart_mode = options.restart_mode,
-                                                   .tiered_db = options.tiered_db,
-                                                   .rephase_interval = options.rephase_interval,
-                                                   .chrono = options.chrono,
-                                                   .max_conflicts = options.max_conflicts,
-                                                   .simplify = options.simplify}}),
-        recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
-        sink_(solver_, recorder_ ? &cnf_ : nullptr),
-        transformer_(builder, sink_, options.card_encoding) {
-    // Attach before any clause reaches the workers; this also forces
-    // simplify off portfolio-wide (proofs and sharing-compatible
-    // simplification are mutually exclusive, see portfolio.hpp).
-    if (recorder_) solver_.set_proof(recorder_.get());
-  }
-
-  void assert_formula(Formula f) override { transformer_.assert_root(f); }
-
-  SolveResult solve(std::span<const Formula> assumptions) override {
-    last_assumption_lits_.clear();
-    last_assumption_lits_.reserve(assumptions.size());
-    for (const Formula f : assumptions) {
-      last_assumption_lits_.push_back(transformer_.define(f));
-    }
-    freeze_extraction_vars();
-    const SolveResult r = solver_.solve(last_assumption_lits_);
-    if (r == SolveResult::Sat) snapshot_model();
-    return r;
-  }
-
-  std::vector<std::size_t> last_core_indices() const override {
-    // The winning worker's final-conflict core; every worker saw the same
-    // assumption literals, so the mapping is winner-independent.
-    return map_core_to_indices(solver_.unsat_core(), last_assumption_lits_);
-  }
-
-  bool var_value(Var builder_var) const override {
-    const auto v = static_cast<std::size_t>(builder_var);
-    return v < model_.size() && model_[v];
-  }
-
-  std::string describe() const override {
-    return "portfolio(workers=" + std::to_string(solver_.num_workers()) +
-           ", vars=" + std::to_string(solver_.num_vars()) +
-           ", clauses=" + std::to_string(solver_.num_clauses()) + ")";
-  }
-
-  void set_interrupt(const std::atomic<bool>* flag) override { solver_.set_interrupt(flag); }
-
-  void fill_counters(SessionStats& stats) const override {
-    // Classic counters report the winning worker (worker 0 when no verdict
-    // yet) — the engine whose work produced the verdict; the portfolio_*
-    // fields carry the sharing picture across all workers.
-    const CdclStats& s = solver_.winner_stats();
-    stats.conflicts = s.conflicts;
-    stats.decisions = s.decisions;
-    stats.propagations = s.propagations;
-    stats.watch_inspections = s.watch_inspections;
-    stats.blocker_hits = s.blocker_hits;
-    stats.arena_peak_bytes = static_cast<std::uint64_t>(solver_.winner_peak_arena_bytes());
-    stats.restarts = s.restarts;
-    stats.learned_clauses = s.learned_clauses;
-    stats.removed_clauses = s.removed_clauses;
-    stats.restarts_blocked = s.restarts_blocked;
-    stats.rephases = s.rephases;
-    stats.chrono_backtracks = s.chrono_backtracks;
-    const DbTierSizes tiers = solver_.winner_db_tier_sizes();
-    stats.db_core = tiers.core;
-    stats.db_tier2 = tiers.mid;
-    stats.db_local = tiers.local;
-    stats.simplify_rounds = s.simplify_rounds;
-    stats.vars_eliminated = s.vars_eliminated;
-    stats.clauses_subsumed = s.clauses_subsumed;
-    stats.clauses_strengthened = s.clauses_strengthened;
-    stats.failed_literals = s.failed_literals;
-    stats.vivified_clauses = s.vivified_clauses;
-    stats.restored_vars = s.restored_vars;
-    stats.solver_vars = static_cast<std::uint64_t>(solver_.num_vars());
-    const PortfolioResultStats p = solver_.stats();
-    stats.portfolio_workers = p.workers;
-    stats.portfolio_winner = p.winner;
-    stats.portfolio_clauses_exported = p.clauses_exported;
-    stats.portfolio_clauses_imported = p.clauses_imported;
-  }
-
-  CertificateResult certify_last(SolveResult last) const override {
-    if (!recorder_) return {false, false, "certify option disabled"};
-    CertificateResult out;
-    switch (last) {
-      case SolveResult::Sat: {
-        out.available = true;
-        std::vector<bool> model(static_cast<std::size_t>(solver_.num_vars()) + 1, false);
-        for (Var v = 1; v <= solver_.num_vars(); ++v) {
-          model[static_cast<std::size_t>(v)] = solver_.model_value(v);
-        }
-        out.valid = check_model(snapshot_cnf(), model);
-        if (!out.valid) out.detail = "model falsifies a recorded CNF clause";
-        return out;
-      }
-      case SolveResult::Unsat: {
-        if (!recorder_->proof().derives_empty()) {
-          return {false, false,
-                  "no standalone proof: unsat verdict is relative to assumptions"};
-        }
-        out.available = true;
-        const DratCheckResult check = check_drat(snapshot_cnf(), recorder_->proof());
-        out.valid = check.ok;
-        out.detail = check.error;
-        return out;
-      }
-      case SolveResult::Unknown: return {false, false, "no verdict to certify"};
-    }
-    return {false, false, "no verdict to certify"};
-  }
-
-  std::optional<UnsatCertificate> export_certificate() const override {
-    if (!recorder_) return std::nullopt;
-    return UnsatCertificate{snapshot_cnf(), recorder_->proof()};
-  }
-
- private:
-  DimacsInstance snapshot_cnf() const {
-    DimacsInstance cnf = cnf_;
-    cnf.num_vars = solver_.num_vars();
-    return cnf;
-  }
-
-  void freeze_extraction_vars() {
-    for (Var v = 1; v <= builder_.num_vars(); ++v) {
-      if (const auto sv = transformer_.try_solver_var(v)) solver_.freeze(*sv);
-    }
-  }
-
-  void snapshot_model() {
-    model_.assign(static_cast<std::size_t>(builder_.num_vars()) + 1, false);
-    for (Var v = 1; v <= builder_.num_vars(); ++v) {
-      if (const auto sv = transformer_.try_solver_var(v)) {
-        model_[static_cast<std::size_t>(v)] = solver_.model_value(*sv);
-      }
-    }
-  }
-
-  const FormulaBuilder& builder_;
-  PortfolioSolver solver_;
-  DimacsInstance cnf_;  ///< certify only: every clause handed to the workers
-  std::unique_ptr<DratProofRecorder> recorder_;
-  PortfolioSinkAdapter sink_;
-  CnfTransformer transformer_;
-  std::vector<bool> model_;
-  std::vector<Lit> last_assumption_lits_;  ///< defined literals of the last solve
-};
-
-}  // namespace
-
-std::unique_ptr<SessionImpl> make_portfolio_impl(const FormulaBuilder& builder,
-                                                 const SessionOptions& options) {
-  return std::make_unique<PortfolioSessionImpl>(builder, options);
-}
-
-}  // namespace detail
 }  // namespace scada::smt

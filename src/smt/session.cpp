@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "scada/smt/cdcl.hpp"
 #include "scada/smt/cnf.hpp"
+#include "scada/smt/portfolio.hpp"
 #include "scada/util/error.hpp"
 #include "scada/util/timer.hpp"
 
@@ -12,12 +12,12 @@ namespace scada::smt {
 namespace detail {
 namespace {
 
-/// Feeds the CNF pipeline straight into the native CDCL solver; when
-/// certifying, also tees every clause into a DIMACS copy so the proof can be
-/// checked against exactly what the solver was given.
+/// Feeds the CNF pipeline into every CDCL worker; when certifying, also tees
+/// every clause into a DIMACS copy so the proof can be checked against
+/// exactly what the solver was given.
 class CdclSinkAdapter final : public ClauseSink {
  public:
-  CdclSinkAdapter(CdclSolver& solver, DimacsInstance* cnf_copy)
+  CdclSinkAdapter(PortfolioSolver& solver, DimacsInstance* cnf_copy)
       : solver_(solver), cnf_copy_(cnf_copy) {}
   void add_clause(std::span<const Lit> lits) override {
     if (cnf_copy_ != nullptr) cnf_copy_->clauses.emplace_back(lits.begin(), lits.end());
@@ -26,24 +26,51 @@ class CdclSinkAdapter final : public ClauseSink {
   Var fresh_var() override { return solver_.new_var(); }
 
  private:
-  CdclSolver& solver_;
+  PortfolioSolver& solver_;
   DimacsInstance* cnf_copy_;
 };
 
+/// Maps a solver-level assumption core back to positions in the assumption
+/// span whose CNF-defined literals are `assumption_lits`. Deduplicated,
+/// ascending.
+std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
+                                             std::span<const Lit> assumption_lits) {
+  std::vector<std::size_t> indices;
+  indices.reserve(core.size());
+  for (const Lit c : core) {
+    // Duplicate assumption formulas define the same literal; the first
+    // position represents them all.
+    for (std::size_t i = 0; i < assumption_lits.size(); ++i) {
+      if (assumption_lits[i] == c) {
+        indices.push_back(i);
+        break;
+      }
+    }
+  }
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  return indices;
+}
+
+/// The native CDCL backend. One worker (portfolio 0 or 1) is the serial
+/// engine, run in the caller's thread with the base configuration verbatim;
+/// two or more race diversified workers that share learned clauses.
 class CdclSessionImpl final : public SessionImpl {
  public:
   CdclSessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
       : builder_(builder),
-        solver_(CdclConfig{.restart_mode = options.restart_mode,
-                           .tiered_db = options.tiered_db,
-                           .rephase_interval = options.rephase_interval,
-                           .chrono = options.chrono,
-                           .max_conflicts = options.max_conflicts,
-                           .simplify = options.simplify}),
+        solver_(PortfolioConfig{.workers = std::max(1u, options.portfolio),
+                                .base = CdclConfig{.restart_mode = options.restart_mode,
+                                                   .tiered_db = options.tiered_db,
+                                                   .rephase_interval = options.rephase_interval,
+                                                   .chrono = options.chrono,
+                                                   .max_conflicts = options.max_conflicts,
+                                                   .simplify = options.simplify}}),
         recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
         sink_(solver_, recorder_ ? &cnf_ : nullptr),
         transformer_(builder, sink_, options.card_encoding) {
     // Attach before any clause reaches the solver so the trace is complete.
+    // With two or more workers this forces simplify off (see portfolio.hpp).
     if (recorder_) solver_.set_proof(recorder_.get());
   }
 
@@ -65,6 +92,8 @@ class CdclSessionImpl final : public SessionImpl {
   }
 
   std::vector<std::size_t> last_core_indices() const override {
+    // The winning worker's final-conflict core; every worker saw the same
+    // assumption literals, so the mapping is winner-independent.
     return map_core_to_indices(solver_.unsat_core(), last_assumption_lits_);
   }
 
@@ -74,27 +103,32 @@ class CdclSessionImpl final : public SessionImpl {
   }
 
   std::string describe() const override {
-    return "cdcl(vars=" + std::to_string(solver_.num_vars()) +
+    return "cdcl(workers=" + std::to_string(solver_.num_workers()) +
+           ", vars=" + std::to_string(solver_.num_vars()) +
            ", clauses=" + std::to_string(solver_.num_clauses()) + ")";
   }
 
   void set_interrupt(const std::atomic<bool>* flag) override { solver_.set_interrupt(flag); }
 
   void fill_counters(SessionStats& stats) const override {
-    const CdclStats& s = solver_.stats();
+    // Classic counters report the winning worker (worker 0 when no verdict
+    // yet) — the engine whose work produced the verdict; the portfolio_*
+    // fields carry the sharing picture across all workers.
+    const CdclSolver& winner = solver_.winner_solver();
+    const CdclStats& s = winner.stats();
     stats.conflicts = s.conflicts;
     stats.decisions = s.decisions;
     stats.propagations = s.propagations;
     stats.watch_inspections = s.watch_inspections;
     stats.blocker_hits = s.blocker_hits;
-    stats.arena_peak_bytes = static_cast<std::uint64_t>(solver_.peak_arena_bytes());
+    stats.arena_peak_bytes = static_cast<std::uint64_t>(winner.peak_arena_bytes());
     stats.restarts = s.restarts;
     stats.learned_clauses = s.learned_clauses;
     stats.removed_clauses = s.removed_clauses;
     stats.restarts_blocked = s.restarts_blocked;
     stats.rephases = s.rephases;
     stats.chrono_backtracks = s.chrono_backtracks;
-    const DbTierSizes tiers = solver_.db_tier_sizes();
+    const DbTierSizes tiers = winner.db_tier_sizes();
     stats.db_core = tiers.core;
     stats.db_tier2 = tiers.mid;
     stats.db_local = tiers.local;
@@ -106,6 +140,11 @@ class CdclSessionImpl final : public SessionImpl {
     stats.vivified_clauses = s.vivified_clauses;
     stats.restored_vars = s.restored_vars;
     stats.solver_vars = static_cast<std::uint64_t>(solver_.num_vars());
+    const PortfolioResultStats p = solver_.stats();
+    stats.portfolio_workers = p.workers;
+    stats.portfolio_winner = p.winner;
+    stats.portfolio_clauses_exported = p.clauses_exported;
+    stats.portfolio_clauses_imported = p.clauses_imported;
   }
 
   CertificateResult certify_last(SolveResult last) const override {
@@ -164,14 +203,14 @@ class CdclSessionImpl final : public SessionImpl {
     model_.assign(static_cast<std::size_t>(builder_.num_vars()) + 1, false);
     for (Var v = 1; v <= builder_.num_vars(); ++v) {
       if (const auto sv = transformer_.try_solver_var(v)) {
-        assert(!solver_.is_eliminated(*sv));  // frozen in solve()
+        assert(!solver_.winner_solver().is_eliminated(*sv));  // frozen in solve()
         model_[static_cast<std::size_t>(v)] = solver_.model_value(*sv);
       }
     }
   }
 
   const FormulaBuilder& builder_;
-  CdclSolver solver_;
+  PortfolioSolver solver_;
   DimacsInstance cnf_;  ///< certify only: every clause handed to the solver
   std::unique_ptr<DratProofRecorder> recorder_;
   CdclSinkAdapter sink_;
@@ -181,31 +220,6 @@ class CdclSessionImpl final : public SessionImpl {
 };
 
 }  // namespace
-
-std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
-                                            const SessionOptions& options) {
-  return std::make_unique<CdclSessionImpl>(builder, options);
-}
-
-std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
-                                             std::span<const Lit> assumption_lits) {
-  std::vector<std::size_t> indices;
-  indices.reserve(core.size());
-  for (const Lit c : core) {
-    // Duplicate assumption formulas define the same literal; the first
-    // position represents them all.
-    for (std::size_t i = 0; i < assumption_lits.size(); ++i) {
-      if (assumption_lits[i] == c) {
-        indices.push_back(i);
-        break;
-      }
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  return indices;
-}
-
 }  // namespace detail
 
 Session::Session(const FormulaBuilder& builder, SessionOptions options) : builder_(&builder) {
@@ -214,8 +228,7 @@ Session::Session(const FormulaBuilder& builder, SessionOptions options) : builde
       impl_ = detail::make_z3_impl(builder, options);
       break;
     case Backend::Cdcl:
-      impl_ = options.portfolio >= 2 ? detail::make_portfolio_impl(builder, options)
-                                     : detail::make_cdcl_impl(builder, options);
+      impl_ = std::make_unique<detail::CdclSessionImpl>(builder, options);
       break;
   }
   if (!impl_) throw SolverError("unknown solver backend");

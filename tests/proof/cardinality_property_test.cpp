@@ -12,19 +12,12 @@
 #include "scada/smt/cardinality.hpp"
 #include "scada/smt/cdcl.hpp"
 #include "scada/util/rng.hpp"
+#include "smt/test_helpers.hpp"
 
 namespace scada::smt {
 namespace {
 
-class SolverSink final : public ClauseSink {
- public:
-  explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
-  void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
-  Var fresh_var() override { return solver_.new_var(); }
-
- private:
-  CdclSolver& solver_;
-};
+using testing::SolverSink;
 
 /// One encoder instance under test: a solver holding the encoded constraint
 /// over input literals xs[0..n).

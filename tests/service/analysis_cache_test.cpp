@@ -63,6 +63,38 @@ TEST(JobKeyTest, EverySemanticInputChangesTheKey) {
   EXPECT_NE(base, key_for_spec(other, core::ResiliencySpec::per_type(1, 1)));
 }
 
+TEST(JobKeyTest, KeysTheEngineThatRuns) {
+  // Portfolio 0 and 1 both run the one-worker engine: one cache entry.
+  const core::ScadaScenario s = core::make_case_study();
+  const auto spec = core::ResiliencySpec::per_type(1, 1);
+  const auto key = [&](const core::AnalyzerOptions& options) {
+    return make_job_key(s, JobKind::Verify, core::Property::Observability, spec, options);
+  };
+  core::AnalyzerOptions zero;
+  zero.solver.portfolio = 0;
+  core::AnalyzerOptions one;
+  one.solver.portfolio = 1;
+  EXPECT_EQ(key(zero), key(one));
+  core::AnalyzerOptions two;
+  two.solver.portfolio = 2;
+  EXPECT_NE(key(one), key(two));
+
+  // The search heuristics change the returned model and threat vector.
+  const core::AnalyzerOptions base;
+  core::AnalyzerOptions chrono;
+  chrono.solver.chrono = !base.solver.chrono;
+  EXPECT_NE(key(base), key(chrono));
+  core::AnalyzerOptions luby;
+  luby.solver.restart_mode = smt::RestartMode::Luby;
+  EXPECT_NE(key(base), key(luby));
+  core::AnalyzerOptions flat;
+  flat.solver.tiered_db = !base.solver.tiered_db;
+  EXPECT_NE(key(base), key(flat));
+  core::AnalyzerOptions rephase;
+  rephase.solver.rephase_interval = base.solver.rephase_interval + 1;
+  EXPECT_NE(key(base), key(rephase));
+}
+
 TEST(JobKeyTest, EnumerateBudgetsOnlyKeyEnumerateJobs) {
   const core::ScadaScenario s = core::make_case_study();
   const core::AnalyzerOptions options;

@@ -127,6 +127,53 @@ TEST(BatchServerTest, MalformedRequestsAreErrorsNotCrashes) {
   EXPECT_TRUE(field(ok, "ok").as_bool());
 }
 
+/// Sends a verify request carrying `extra` (a JSON member), expects it
+/// refused with an error naming `member`, then expects the same server to
+/// answer a well-formed request.
+void expect_refused_and_batch_continues(const std::string& extra, const std::string& member) {
+  BatchServer server;
+  const io::JsonValue bad = response(
+      server, R"({"id":"bad","op":"enumerate","scenario":{"builtin":"case_study_fig3"},)"
+              R"("spec":{"k1":2,"k2":1},)" + extra + "}");
+  EXPECT_FALSE(field(bad, "ok").as_bool()) << extra;
+  EXPECT_NE(field(bad, "error").as_string().find(member), std::string::npos)
+      << field(bad, "error").as_string();
+  const io::JsonValue ok = response(
+      server,
+      R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k1":1,"k2":1}})");
+  EXPECT_TRUE(field(ok, "ok").as_bool());
+}
+
+TEST(BatchServerTest, NegativeMaxVectorsIsRefused) {
+  // Cast to size_t it would make the enumeration unbounded.
+  expect_refused_and_batch_continues(R"("max_vectors":-1)", "max_vectors");
+}
+
+TEST(BatchServerTest, NegativeMaxConflictsIsRefused) {
+  // Cast to uint64 it would become a 2^64-1 conflict budget.
+  expect_refused_and_batch_continues(R"("max_conflicts":-1)", "max_conflicts");
+}
+
+TEST(BatchServerTest, PriorityOutsideIntIsRefused) {
+  // Truncated to int, 2^32 + 5 would silently become priority 5.
+  expect_refused_and_batch_continues(R"("priority":4294967301)", "priority");
+}
+
+TEST(BatchServerTest, OmittedBackendIsCdcl) {
+  // A request without "backend" runs the library default, CDCL: it is the
+  // same job (same fingerprint, served from cache) as one naming "cdcl",
+  // and a different one from "z3".
+  BatchServer server;
+  const std::string head =
+      R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k1":1,"k2":1})";
+  const io::JsonValue omitted = response(server, head + "}");
+  const io::JsonValue cdcl = response(server, head + R"(,"backend":"cdcl"})");
+  const io::JsonValue z3 = response(server, head + R"(,"backend":"z3"})");
+  EXPECT_EQ(field(omitted, "fingerprint").as_string(), field(cdcl, "fingerprint").as_string());
+  EXPECT_TRUE(field(cdcl, "cache_hit").as_bool());
+  EXPECT_NE(field(omitted, "fingerprint").as_string(), field(z3, "fingerprint").as_string());
+}
+
 TEST(BatchServerTest, SecurityIndexOpReturnsIndexAndWitness) {
   BatchServer server;
   const io::JsonValue r = response(

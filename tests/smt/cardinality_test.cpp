@@ -9,20 +9,12 @@
 #include <tuple>
 
 #include "scada/smt/cdcl.hpp"
+#include "test_helpers.hpp"
 
 namespace scada::smt {
 namespace {
 
-/// Adapter feeding encoder output into a CdclSolver.
-class SolverSink final : public ClauseSink {
- public:
-  explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
-  void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
-  Var fresh_var() override { return solver_.new_var(); }
-
- private:
-  CdclSolver& solver_;
-};
+using testing::SolverSink;
 
 enum class Kind { AtMost, AtLeast };
 

@@ -12,15 +12,7 @@
 namespace scada::smt {
 namespace {
 
-class SolverSink final : public ClauseSink {
- public:
-  explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
-  void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
-  Var fresh_var() override { return solver_.new_var(); }
-
- private:
-  CdclSolver& solver_;
-};
+using testing::SolverSink;
 
 class CnfRandomProperty : public ::testing::TestWithParam<int> {};
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "scada/core/encoder.hpp"
+#include "scada/smt/cdcl.hpp"
 #include "scada/smt/cnf.hpp"
 #include "scada/util/error.hpp"
 #include "test_helpers.hpp"
@@ -282,6 +286,167 @@ INSTANTIATE_TEST_SUITE_P(Backends, SessionAssumptions,
                          [](const ::testing::TestParamInfo<Backend>& info) {
                            return std::string(to_string(info.param));
                          });
+
+}  // namespace
+}  // namespace scada::smt
+
+// The CDCL session is the one-worker portfolio: with portfolio 0 or 1 it must
+// run the plain CdclSolver search bit for bit. The reference solver below is
+// fed the same CNF (recorded through a CnfTransformer), the same freezes and
+// the same assumption literals; every search counter and every model value
+// must agree.
+namespace scada::smt {
+namespace {
+
+/// A plain CdclSolver driven the way the CDCL session drives its engine.
+class ReferenceEngine {
+ public:
+  static CdclConfig config_of(const SessionOptions& options) {
+    CdclConfig config;
+    config.restart_mode = options.restart_mode;
+    config.tiered_db = options.tiered_db;
+    config.rephase_interval = options.rephase_interval;
+    config.chrono = options.chrono;
+    config.max_conflicts = options.max_conflicts;
+    config.simplify = options.simplify;
+    return config;
+  }
+
+  ReferenceEngine(const FormulaBuilder& builder, const SessionOptions& options)
+      : builder_(builder),
+        solver_(config_of(options)),
+        recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
+        transformer_(builder, sink_, options.card_encoding) {
+    if (recorder_) solver_.set_proof(recorder_.get());
+  }
+
+  void assert_formula(Formula f) { transformer_.assert_root(f); }
+
+  SolveResult solve(std::span<const Formula> assumptions = {}) {
+    std::vector<Lit> lits;
+    for (const Formula f : assumptions) lits.push_back(transformer_.define(f));
+    // Hand over what the transformer recorded since the last solve.
+    solver_.ensure_var(sink_.num_vars());
+    const std::vector<Clause>& clauses = sink_.clauses();
+    for (; forwarded_ < clauses.size(); ++forwarded_) solver_.add_clause(clauses[forwarded_]);
+    for (Var v = 1; v <= builder_.num_vars(); ++v) {
+      if (const auto sv = transformer_.try_solver_var(v)) solver_.freeze(*sv);
+    }
+    return solver_.solve(lits);
+  }
+
+  /// Expects `session` to report this engine's counters and model.
+  void expect_same(const Session& session, SolveResult r, const std::string& where) const {
+    const CdclStats& s = solver_.stats();
+    const SessionStats& got = session.stats();
+    EXPECT_EQ(got.conflicts, s.conflicts) << where;
+    EXPECT_EQ(got.decisions, s.decisions) << where;
+    EXPECT_EQ(got.propagations, s.propagations) << where;
+    EXPECT_EQ(got.vars_eliminated, s.vars_eliminated) << where;
+    EXPECT_EQ(got.solver_vars, static_cast<std::uint64_t>(solver_.num_vars())) << where;
+    if (r != SolveResult::Sat) return;
+    for (Var v = 1; v <= builder_.num_vars(); ++v) {
+      const auto sv = transformer_.try_solver_var(v);
+      const bool expected = sv && solver_.model_value(*sv);
+      ASSERT_EQ(session.value(builder_.var_formula(v)), expected) << where << " var " << v;
+    }
+  }
+
+ private:
+  const FormulaBuilder& builder_;
+  CdclSolver solver_;
+  std::unique_ptr<DratProofRecorder> recorder_;
+  RecordingSink sink_;
+  CnfTransformer transformer_;
+  std::size_t forwarded_ = 0;
+};
+
+using ParityParam = std::tuple<unsigned /*portfolio*/, bool /*certify*/>;
+
+class SessionParity : public ::testing::TestWithParam<ParityParam> {
+ protected:
+  static SessionOptions options() {
+    const auto [portfolio, certify] = GetParam();
+    return SessionOptions{.certify = certify, .portfolio = portfolio};
+  }
+};
+
+TEST_P(SessionParity, OneShotFig5MatchesCdclSolver) {
+  const core::ScadaScenario scenario = testing::fig5_scenario(30);
+  for (const auto property :
+       {core::Property::Observability, core::Property::SecuredObservability}) {
+    for (int k = 0; k <= 2; ++k) {
+      const std::string where = std::string(core::to_string(property)) + " k=" + std::to_string(k);
+      FormulaBuilder fb;
+      core::ThreatEncoder encoder(scenario, {}, fb);
+      const Formula threat = encoder.threat(property, core::ResiliencySpec::total(k));
+      Session session(fb, options());
+      ReferenceEngine reference(fb, options());
+      session.assert_formula(threat);
+      reference.assert_formula(threat);
+      const SolveResult r = session.solve();
+      ASSERT_EQ(r, reference.solve()) << where;
+      reference.expect_same(session, r, where);
+      EXPECT_EQ(session.stats().portfolio_workers, 1u) << where;
+      if (options().certify) {
+        const CertificateResult cert = session.certify_last_result();
+        EXPECT_TRUE(cert.available) << where << ": " << cert.detail;
+        EXPECT_TRUE(cert.valid) << where << ": " << cert.detail;
+      }
+    }
+  }
+}
+
+TEST_P(SessionParity, IncrementalFig5UnderAssumptionsMatchesCdclSolver) {
+  // One session: the negated property asserted once, failure budgets k = 0..2
+  // as assumptions, and blocking clauses between sat answers — the shape of
+  // enumerate_threats and max_resiliency.
+  const core::ScadaScenario scenario = testing::fig5_scenario(30);
+  for (const auto property :
+       {core::Property::Observability, core::Property::SecuredObservability}) {
+    FormulaBuilder fb;
+    core::ThreatEncoder encoder(scenario, {}, fb);
+    Session session(fb, options());
+    ReferenceEngine reference(fb, options());
+    const Formula broken = fb.mk_not(encoder.property(property, 1));
+    session.assert_formula(broken);
+    reference.assert_formula(broken);
+    for (int k = 0; k <= 2; ++k) {
+      const std::vector<Formula> budget = {encoder.failure_budget(core::ResiliencySpec::total(k))};
+      for (int step = 0; step < 4; ++step) {
+        const std::string where = std::string(core::to_string(property)) + " k=" + std::to_string(k) +
+                                  " step=" + std::to_string(step);
+        const SolveResult r = session.solve(budget);
+        ASSERT_EQ(r, reference.solve(budget)) << where;
+        reference.expect_same(session, r, where);
+        if (r != SolveResult::Sat) break;
+        std::vector<Formula> diff;
+        for (const auto* ids : {&scenario.ied_ids(), &scenario.rtu_ids()}) {
+          for (const int id : *ids) {
+            const Formula x = encoder.node_var(id);
+            diff.push_back(session.value(x) ? fb.mk_not(x) : x);
+          }
+        }
+        session.assert_formula(fb.mk_or(diff));
+        reference.assert_formula(fb.mk_or(diff));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OneWorker, SessionParity,
+                         ::testing::Combine(::testing::Values(0u, 1u), ::testing::Bool()),
+                         [](const ::testing::TestParamInfo<ParityParam>& info) {
+                           return "portfolio" + std::to_string(std::get<0>(info.param)) +
+                                  (std::get<1>(info.param) ? "_certify" : "");
+                         });
+
+TEST(SessionDefaults, BackendIsCdcl) {
+  EXPECT_EQ(SessionOptions{}.backend, Backend::Cdcl);
+  FormulaBuilder fb;
+  const Session session(fb);
+  EXPECT_EQ(session.describe().rfind("cdcl(workers=1,", 0), 0u) << session.describe();
+}
 
 }  // namespace
 }  // namespace scada::smt

@@ -1,6 +1,6 @@
 // Shared helpers for the SMT test suites: brute-force oracles, a random
-// formula generator used by property tests, and the Fig. 5 threat CNF used
-// by the cost guards.
+// formula generator used by property tests, a sink feeding a CdclSolver, and
+// the Fig. 5 grids and threat CNF used by the cost and parity guards.
 #pragma once
 
 #include <cstdint>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "scada/core/encoder.hpp"
+#include "scada/smt/cdcl.hpp"
 #include "scada/smt/cnf.hpp"
 #include "scada/smt/formula.hpp"
 #include "scada/smt/sink.hpp"
@@ -17,17 +18,33 @@
 
 namespace scada::smt::testing {
 
-/// The k = 1 threat CNF of a bench_fig5_scaling grid (its generator
-/// settings, seed buses * 100).
-inline std::vector<Clause> fig5_threat_cnf(
-    int buses, core::Property property = core::Property::Observability) {
+/// Adapter feeding CNF producers (encoders, CnfTransformer) straight into a
+/// CdclSolver.
+class SolverSink final : public ClauseSink {
+ public:
+  explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
+  void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
+  Var fresh_var() override { return solver_.new_var(); }
+
+ private:
+  CdclSolver& solver_;
+};
+
+/// A bench_fig5_scaling grid (its generator settings, seed buses * 100).
+inline core::ScadaScenario fig5_scenario(int buses) {
   synth::SynthConfig config;
   config.buses = buses;
   config.measurement_fraction = 0.75;
   config.hierarchy_level = 2;
   config.secured_hop_fraction = 0.95;
   config.seed = static_cast<std::uint64_t>(buses) * 100;
-  const core::ScadaScenario scenario = synth::generate_scenario(config);
+  return synth::generate_scenario(config);
+}
+
+/// The k = 1 threat CNF of a bench_fig5_scaling grid.
+inline std::vector<Clause> fig5_threat_cnf(
+    int buses, core::Property property = core::Property::Observability) {
+  const core::ScadaScenario scenario = fig5_scenario(buses);
   FormulaBuilder builder;
   core::ThreatEncoder encoder(scenario, {}, builder);
   const Formula threat = encoder.threat(property, core::ResiliencySpec::total(1));

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
     scada::util::WallTimer timer;
     const SolveResult result = solver.solve(assumptions);
     watchdog.reset();  // disarm before reporting
-    const CdclStats& stats = solver.winner_stats();
+    const CdclSolver& winner = solver.winner_solver();
+    const CdclStats& stats = winner.stats();
     std::printf("c vars=%d clauses=%zu time=%.3fs conflicts=%llu decisions=%llu\n",
                 instance.num_vars, instance.clauses.size(), timer.seconds(),
                 static_cast<unsigned long long>(stats.conflicts),
@@ -198,7 +199,7 @@ int main(int argc, char** argv) {
     std::printf("c simplify: vars-eliminated=%llu clauses-subsumed=%llu\n",
                 static_cast<unsigned long long>(stats.vars_eliminated),
                 static_cast<unsigned long long>(stats.clauses_subsumed));
-    const DbTierSizes tiers = solver.winner_db_tier_sizes();
+    const DbTierSizes tiers = winner.db_tier_sizes();
     std::printf("c search: restarts=%llu blocked=%llu rephases=%llu chrono=%llu "
                 "db-core=%zu db-tier2=%zu db-local=%zu\n",
                 static_cast<unsigned long long>(stats.restarts),

@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   std::optional<int> k_rtu;
   int bad_data_r = 1;
   core::OptimizerOptions options;
-  options.analyzer.solver.backend = smt::Backend::Cdcl;
   long long timeout_ms = 0;
   bool index_only = false;
   bool harden_only = false;
